@@ -1111,8 +1111,8 @@ let scale_cmd =
       & info [ "routing-counters" ]
           ~doc:
             "Append one deterministic line of Networking search-effort \
-             counters (labels expanded/generated, cache and fast-path hits) \
-             to the summary; CI pins it to catch engine drift.")
+             counters (labels expanded/generated, fast-path hits) to the \
+             summary; CI pins it to catch engine drift.")
   in
   let run seed hosts shape ratio jobs validate routing_counters =
     let validate = validate || Sys.getenv_opt "HMN_VALIDATE" <> None in

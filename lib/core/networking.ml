@@ -13,12 +13,10 @@ type stats = {
   expanded : int;
   generated : int;
   precompute_s : float;
-  cache_hits : int;
-  cache_revalidate_failed : int;
   fast_path : int;
 }
 
-let run ?router ?(route_cache = false) ?(tree_fast_path = false) placement =
+let run ?router placement =
   if not (Placement.all_assigned placement) then
     invalid_arg "Networking.run: placement is incomplete";
   let problem = Placement.problem placement in
@@ -34,11 +32,8 @@ let run ?router ?(route_cache = false) ?(tree_fast_path = false) placement =
   let routed = ref 0 and intra_host = ref 0 in
   let expanded = ref 0 and generated = ref 0 in
   (* One reusable context for the whole pass: label arena, heap and
-     Pareto pools reach a steady state after the first few routes. The
-     cache and tree fast path stay off unless requested — they change
-     expansion counts (and, for the cache, possibly path selection),
-     while the default engine is bit-identical to a fresh search. *)
-  let ctx = Hmn_routing.Route_ctx.create ~cache:route_cache ~tree_fast_path () in
+     Pareto pools reach a steady state after the first few routes. *)
+  let ctx = Hmn_routing.Route_ctx.create () in
   let default_router ~residual ~latency_tables ~src ~dst ~bandwidth_mbps ~latency_ms ()
       =
     match
@@ -127,9 +122,6 @@ let run ?router ?(route_cache = false) ?(tree_fast_path = false) placement =
           generated = !generated;
           precompute_s =
             Hmn_routing.Latency_table.precompute_seconds latency_tables;
-          cache_hits = Hmn_routing.Route_ctx.cache_hits ctx;
-          cache_revalidate_failed =
-            Hmn_routing.Route_ctx.cache_revalidate_failed ctx;
           fast_path = Hmn_routing.Route_ctx.fast_path_hits ctx;
         } )
   with Networking_failed (detail, reason) ->

@@ -21,14 +21,10 @@ type stats = {
       (** wall time of the eager latency-table fill (landmark
           Dijkstras) — kept out of the metrics registry, whose
           aggregates must stay deterministic across job counts *)
-  cache_hits : int;
-      (** cached paths reused after revalidation (0 unless
-          [route_cache]) *)
-  cache_revalidate_failed : int;
-      (** cache entries rejected against the current residual state *)
   fast_path : int;
-      (** routes resolved by the sole-neighbor tree fast path (0 unless
-          [tree_fast_path]) *)
+      (** routes resolved by A\*Prune's sole-neighbor tree fast path,
+          which contribute nothing to [expanded]/[generated] (0 with a
+          custom [router]) *)
 }
 
 val run :
@@ -41,21 +37,9 @@ val run :
     latency_ms:float ->
     unit ->
     Hmn_routing.Path.t option) ->
-  ?route_cache:bool ->
-  ?tree_fast_path:bool ->
   Hmn_mapping.Placement.t ->
   (Hmn_mapping.Link_map.t * stats, Mapper.failure) result
 (** [router] defaults to A\*Prune; the Hosting-with-Search baseline
     passes a DFS router instead. Raises nothing; all failures are
     returned. The placement must be complete
-    ([Hmn_mapping.Placement.all_assigned]).
-
-    Both accelerators default to [false], keeping the stage
-    bit-identical to a per-call fresh search. [route_cache] reuses
-    paths per host pair when they revalidate against the current
-    residual bandwidths and latency bound — a revalidated path is
-    feasible but not necessarily still the widest, so path selection
-    may differ. [tree_fast_path] collapses unique-path (sole-neighbor)
-    segments without search; returned paths are identical, but
-    [expanded]/[generated] drop for such routes. Both only affect the
-    default router; a custom [router] ignores them. *)
+    ([Hmn_mapping.Placement.all_assigned]). *)

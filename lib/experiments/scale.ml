@@ -149,14 +149,14 @@ let render_summary r =
 
 (* Deterministic like the summary: search-effort counters only, no wall
    time. CI pins these for the 432-host fixture — any drift means the
-   default engine is no longer bit-identical to the reference. *)
+   engine no longer searches label for label like the reference. *)
 let render_routing_counters r =
   match r.report.Hmn.networking_stats with
   | None -> ""
   | Some s ->
-    Printf.sprintf "routing: expanded=%d generated=%d cache_hits=%d fast_path=%d\n"
+    Printf.sprintf "routing: expanded=%d generated=%d fast_path=%d\n"
       s.Hmn_core.Networking.expanded s.Hmn_core.Networking.generated
-      s.Hmn_core.Networking.cache_hits s.Hmn_core.Networking.fast_path
+      s.Hmn_core.Networking.fast_path
 
 let render_timings r =
   Printf.sprintf "timings: hosting=%.3fs migration=%.3fs networking=%.3fs total=%.3fs\n"

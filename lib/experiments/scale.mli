@@ -69,10 +69,9 @@ val render_summary : result -> string
 
 val render_routing_counters : result -> string
 (** One byte-deterministic line of Networking search-effort counters
-    (labels expanded/generated, cache and fast-path hits); empty when
-    the mapping failed before Networking. CI pins this for a fixture to
-    catch any drift in the default engine's label-for-label
-    equivalence. *)
+    (labels expanded/generated, fast-path hits); empty when the mapping
+    failed before Networking. CI pins this for a fixture to catch any
+    drift in the engine's label-for-label equivalence. *)
 
 val render_timings : result -> string
 (** Wall-clock per stage; print to stderr, never into diffed output. *)

@@ -1,6 +1,6 @@
 module Json = Hmn_prelude.Json
 
-type resource = Mem | Stor | Cpu
+type resource = Mem | Stor
 type screen = Agg_mem | Agg_stor | Disconnected
 type net = Latency | Bandwidth
 type cause = Screened of screen | Hosting of resource | Networking of net
@@ -11,7 +11,6 @@ let cause_label = function
   | Screened Disconnected -> "screened-disconnected"
   | Hosting Mem -> "hosting-mem"
   | Hosting Stor -> "hosting-stor"
-  | Hosting Cpu -> "hosting-cpu"
   | Networking Latency -> "networking-latency"
   | Networking Bandwidth -> "networking-bandwidth"
 
@@ -41,7 +40,6 @@ type event =
     }
   | Departure of { tenant : int }
   | Defrag_move of { tenant : int }
-  | Eviction of { tenant : int }
 
 type record = {
   seq : int;
@@ -106,7 +104,6 @@ let record_to_json r =
         @ extra)
   | Departure { tenant } -> base "depart" [ ("id", Json.int tenant) ]
   | Defrag_move { tenant } -> base "defrag-move" [ ("id", Json.int tenant) ]
-  | Eviction { tenant } -> base "evict" [ ("id", Json.int tenant) ]
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in

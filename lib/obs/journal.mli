@@ -15,16 +15,16 @@
       mapping attempt (aggregate memory, aggregate storage, or a
       disconnected cluster with virtual links present).
     - [Hosting r]: the hosting stage could not place some guest; [r] is
-      the binding resource. [Cpu] is reserved — in the paper's model
-      CPU is the balancing objective, never a placement gate — and is
-      journaled only if a future policy makes CPU admission-gating.
+      the binding resource. Only memory and storage gate placement: in
+      the paper's model CPU is the balancing objective, so it never
+      appears here.
     - [Networking b]: every guest was placed but some virtual link
       could not be routed; [b] says whether bandwidth or the latency
       bound was binding (judged against the fresh residual cluster, so
       a link that is only unroutable because of the request's own
       earlier reservations classifies as [Bandwidth]). *)
 
-type resource = Mem | Stor | Cpu
+type resource = Mem | Stor
 type screen = Agg_mem | Agg_stor | Disconnected
 type net = Latency | Bandwidth
 type cause = Screened of screen | Hosting of resource | Networking of net
@@ -64,7 +64,6 @@ type event =
     }
   | Departure of { tenant : int }
   | Defrag_move of { tenant : int }
-  | Eviction of { tenant : int }  (** reserved for the elasticity PR *)
 
 type record = {
   seq : int;  (** dense, assigned by {!add} *)

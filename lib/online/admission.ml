@@ -81,8 +81,8 @@ let candidate_hosts ~residual ~venv =
    fits nowhere, the resource that locks it out of more hosts is
    binding; when it still fits somewhere (the mapper died packing other
    guests), the aggregate-scarcer resource is binding. CPU is never a
-   gate in this model (Resources.fits_mem_stor), so [Journal.Cpu] is
-   reserved. *)
+   gate in this model (Resources.fits_mem_stor), so it is never
+   binding. *)
 let classify_hosting ~residual ~venv ~guest =
   let d = Venv.demand venv guest in
   let hosts = Cluster.host_ids residual in

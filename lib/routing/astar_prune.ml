@@ -10,24 +10,7 @@ type stats = {
 
 let zero_stats = { expanded = 0; generated = 0 }
 
-(* Cache revalidation and the fast path's feasibility test: every hop
-   must offer the bandwidth and the accumulated latency (summed in
-   path order, the same left-to-right association the search uses for
-   [acc_latency]) must stay within the bound. *)
-let feasible ~latencies ~avails ~bandwidth_mbps ~latency_ms (path : Path.t) =
-  let edges = path.Path.edges in
-  let m = Array.length edges in
-  let rec go i acc =
-    if i = m then acc <= latency_ms
-    else
-      let e = edges.(i) in
-      avails.(e) >= bandwidth_mbps && go (i + 1) (acc +. latencies.(e))
-  in
-  m > 0 && go 0 0.
-
 (* ---- tree fast path ---- *)
-
-type forced = No_fast_path | Forced of Path.t option
 
 (* The unique continuation arc of a simple path that entered [cur] via
    [prev] ([-1] at the walk's start): a degree-1 start, or a degree-2
@@ -52,12 +35,14 @@ let rec distinct = function
 (* Collapse sole-neighbor chains: when the forced walks from [src] and
    [dst] spell the whole route (a pure tree segment, or the same-rack
    src -> switch -> dst triangle of a fabric), the unique simple path
-   needs no search — it is feasible, or no path exists at all. *)
+   needs no search — it is the route if it passes the search's own
+   checks, or no route exists at all. [None] when the walks leave a
+   choice open. *)
 let forced_route ~offsets ~neighbors ~edge_ids ~n ~src ~dst =
   if
     offsets.(src + 1) - offsets.(src) <> 1
     && offsets.(dst + 1) - offsets.(dst) <> 1
-  then No_fast_path
+  then None
   else begin
     (* rev_nodes leads with the terminal: for the walk from [src] that
        is reversed path order; for the walk from [dst] it already reads
@@ -74,35 +59,47 @@ let forced_route ~offsets ~neighbors ~edge_ids ~n ~src ~dst =
       go (-1) start [ start ] [] 0
     in
     let s_nodes, s_edges, s_term = walk ~start:src ~target:dst in
-    if s_term = dst then
-      let nodes = List.rev s_nodes in
-      if distinct nodes then
-        Forced (Some (Path.make ~nodes ~edges:(List.rev s_edges)))
-      else No_fast_path
+    let path ~nodes ~edges =
+      if distinct nodes then Some (Path.make ~nodes ~edges) else None
+    in
+    if s_term = dst then path ~nodes:(List.rev s_nodes) ~edges:(List.rev s_edges)
     else begin
       let d_nodes, d_edges, d_term = walk ~start:dst ~target:src in
-      if d_term = src then
-        if distinct d_nodes then
-          Forced (Some (Path.make ~nodes:d_nodes ~edges:d_edges))
-        else No_fast_path
-      else if s_term = d_term then begin
+      if d_term = src then path ~nodes:d_nodes ~edges:d_edges
+      else if s_term = d_term then
         (* The walks meet: the terminal appears once, so every simple
            path runs prefix - terminal - suffix and is fully forced. *)
-        let nodes = List.rev_append (List.tl s_nodes) d_nodes in
-        if distinct nodes then
-          Forced
-            (Some (Path.make ~nodes ~edges:(List.rev_append s_edges d_edges)))
-        else No_fast_path
-      end
-      else No_fast_path
+        path
+          ~nodes:(List.rev_append (List.tl s_nodes) d_nodes)
+          ~edges:(List.rev_append s_edges d_edges)
+      else None
     end
   end
 
+(* The search's acceptance test replayed along the forced path: the
+   origin label needs ar(src) within the bound, and every hop must
+   offer the bandwidth and keep acc + ar(v) within it, with acc summed
+   left to right from 0. exactly as labels accumulate it. Checking the
+   path's total latency alone would not do: when the bound equals that
+   total, acc_i + ar(v_i) associates differently and can round above
+   it, and the search would then find nothing. *)
+let forced_feasible ~tab ~latencies ~avails ~bandwidth_mbps ~latency_ms
+    (path : Path.t) =
+  let nodes = path.Path.nodes and edges = path.Path.edges in
+  let rec go i acc =
+    i = Array.length edges
+    || (let e = edges.(i) in
+        let acc = acc +. latencies.(e) in
+        avails.(e) >= bandwidth_mbps
+        && acc +. Latency_table.get tab nodes.(i + 1) <= latency_ms
+        && go (i + 1) acc)
+  in
+  Latency_table.get tab nodes.(0) <= latency_ms && go 0 0.
+
 (* ---- the arena search ---- *)
 
-let search ~ctx ~latency_tables ~offsets ~neighbors ~edge_ids ~latencies ~avails
+let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     ~prune_dominated ~src ~dst ~bandwidth_mbps ~latency_ms =
-  let tab = Latency_table.to_destination latency_tables ~dst in
   (* Destructured once: the hot loop reads the shared base array and
      scalar offset directly instead of paying a record access per
      lookup. [ar x] stays the exact [Latency_table.get] semantics —
@@ -230,9 +227,6 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
     let ctx =
       match ctx with Some c -> c | None -> Route_ctx.create ()
     in
-    (* Rebinding flushes the cache when the physical cluster changed
-       (defrag rebuilds residual clusters), so a stale entry can never
-       be revalidated against arrays it does not index. *)
     Route_ctx.bind ctx cluster;
     let csr = Cluster.csr cluster in
     let offsets = Csr.offsets csr
@@ -240,61 +234,18 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
     and edge_ids = Csr.edge_ids csr in
     let latencies = Cluster.link_latencies cluster in
     let avails = Residual.availabilities residual in
-    let cached =
-      match Route_ctx.cache_find ctx ~src ~dst with
-      | None ->
-        if Route_ctx.use_cache ctx then
-          ctx.Route_ctx.cache_misses <- ctx.Route_ctx.cache_misses + 1;
-        None
-      | Some path ->
-        (* Revalidate against the current residual state: availability
-           hop by hop, latency recomputed from the current cluster's
-           table — the entry was cached under an earlier reservation
-           state and a possibly different request. *)
-        if feasible ~latencies ~avails ~bandwidth_mbps ~latency_ms path then begin
-          ctx.Route_ctx.cache_hits <- ctx.Route_ctx.cache_hits + 1;
-          if Metrics.enabled () then
-            Metrics.Counter.incr (Metrics.counter "astar.cache_hits");
-          Some path
-        end
-        else begin
-          ctx.Route_ctx.cache_revalidate_failed <-
-            ctx.Route_ctx.cache_revalidate_failed + 1;
-          if Metrics.enabled () then
-            Metrics.Counter.incr (Metrics.counter "astar.cache_revalidate_failed");
-          None
-        end
-    in
-    match cached with
-    | Some path -> Some (path, zero_stats)
-    | None -> (
-      let forced =
-        if Route_ctx.use_tree_fast_path ctx then
-          forced_route ~offsets ~neighbors ~edge_ids ~n ~src ~dst
-        else No_fast_path
-      in
-      match forced with
-      | Forced maybe ->
-        ctx.Route_ctx.fast_path_hits <- ctx.Route_ctx.fast_path_hits + 1;
-        if Metrics.enabled () then
-          Metrics.Counter.incr (Metrics.counter "astar.fast_path_hits");
-        (match maybe with
-        | Some path
-          when feasible ~latencies ~avails ~bandwidth_mbps ~latency_ms path ->
-          Route_ctx.cache_store ctx ~src ~dst path;
-          Some (path, zero_stats)
-        | Some _ | None ->
-          (* The unique simple path is infeasible — so is the route. *)
-          None)
-      | No_fast_path -> (
-        match
-          search ~ctx ~latency_tables ~offsets ~neighbors ~edge_ids ~latencies
-            ~avails ~prune_dominated ~src ~dst ~bandwidth_mbps ~latency_ms
-        with
-        | None -> None
-        | Some (path, st) ->
-          Route_ctx.cache_store ctx ~src ~dst path;
-          Some (path, st)))
+    let tab = Latency_table.to_destination latency_tables ~dst in
+    match forced_route ~offsets ~neighbors ~edge_ids ~n ~src ~dst with
+    | Some path ->
+      ctx.Route_ctx.fast_path_hits <- ctx.Route_ctx.fast_path_hits + 1;
+      if Metrics.enabled () then
+        Metrics.Counter.incr (Metrics.counter "astar.fast_path_hits");
+      if forced_feasible ~tab ~latencies ~avails ~bandwidth_mbps ~latency_ms path
+      then Some (path, zero_stats)
+      else None
+    | None ->
+      search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
+        ~prune_dominated ~src ~dst ~bandwidth_mbps ~latency_ms
   end
 
 let widest_feasible ?ctx ~residual ~latency_tables ~src ~dst ~bandwidth_mbps

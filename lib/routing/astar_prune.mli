@@ -19,7 +19,15 @@
     reached [v] with bottleneck at least as wide {e and} accumulated
     latency no larger. This preserves optimality of the returned
     bottleneck width and keeps the search polynomial in practice; it
-    can be disabled for cross-checking. *)
+    can be disabled for cross-checking.
+
+    {b Tree fast path.} Before searching, [route] follows sole-neighbor
+    chains from both endpoints (leaf hosts, pure tree segments, the
+    same-rack host-switch-host triangle of a fabric). When the chains
+    spell the whole route, the only simple path needs no search: it is
+    returned if it passes the exact checks the search would apply to
+    it, and otherwise no path exists. Such routes report [stats] of
+    zero. *)
 
 type stats = {
   expanded : int;  (** paths popped from the open set *)
@@ -43,13 +51,11 @@ val route :
 
     [ctx] is an optional reusable {!Route_ctx.t}: passing one lets
     consecutive calls share the label arena, heap and Pareto pools
-    (and, when enabled on the context, the path cache and tree fast
-    path) instead of allocating per call. Omitting it allocates a
-    fresh default context — same results, no reuse. With a default
-    context ([Route_ctx.create ()] — cache and fast path off) the
-    engine is bit-identical to the historical list-based
-    implementation: same paths, same [stats], same metrics. Cached
-    hits and fast-path hits report [stats] of zero (no search ran). *)
+    instead of allocating per call. Omitting it allocates a fresh
+    context — same results, no reuse. The engine returns the same
+    path as the historical list-based implementation for every query;
+    for searched routes (those not taken by the fast path, see
+    {!Route_ctx.fast_path_hits}) it also reports the same [stats]. *)
 
 val widest_feasible :
   ?ctx:Route_ctx.t ->

@@ -33,9 +33,6 @@ let create cluster =
 
 let get tab x = if x = tab.dst then 0. else tab.base.(x) +. tab.offset
 
-let to_array tab =
-  Array.init (Array.length tab.base) (fun x -> get tab x)
-
 let fill tab out =
   if Array.length out <> Array.length tab.base then
     invalid_arg "Latency_table.fill: buffer length mismatch";

@@ -43,17 +43,11 @@ val to_destination : t -> dst:int -> table
 (** Cached per destination; counts one miss (and at most one Dijkstra)
     on first request. *)
 
-val to_array : table -> float array
-(** Debug accessor: a freshly allocated materialised copy of the whole
-    table. For interactive inspection and one-off assertions only —
-    never the hot path, and oracles iterating destinations should
-    {!fill} one reused buffer instead. *)
-
 val fill : table -> float array -> unit
-(** [fill tab out] writes [get tab x] into [out.(x)] for every node —
-    {!to_array} without the allocation, for oracles that sweep many
-    destinations against one scratch buffer. Raises [Invalid_argument]
-    when [out]'s length differs from the node count. *)
+(** [fill tab out] writes [get tab x] into [out.(x)] for every node,
+    for oracles that sweep many destinations against one scratch
+    buffer. Raises [Invalid_argument] when [out]'s length differs from
+    the node count. *)
 
 val precompute : t -> unit
 (** Eagerly fill the table for every host destination (each counted as

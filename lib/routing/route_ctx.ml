@@ -3,15 +3,11 @@ module Csr = Hmn_graph.Csr
 module Dynarray = Hmn_dstruct.Dynarray
 
 type t = {
-  use_cache : bool;
-  use_tree_fast_path : bool;
-  (* The CSR view the pools and cache were last sized/filled against.
-     Physical identity is the staleness test: defragmentation rebuilds
-     residual clusters (fresh Cluster.t, fresh Csr.t), so a pointer
-     mismatch means every cached path and pooled array may describe a
-     graph that no longer exists. *)
+  (* The CSR view the pools were last sized against. Physical identity
+     is the staleness test: defragmentation rebuilds residual clusters
+     (fresh Cluster.t, fresh Csr.t), so a pointer mismatch means every
+     pooled array may describe a graph that no longer exists. *)
   mutable bound : Csr.t option;
-  mutable n_nodes : int;
   (* Label arena: struct-of-arrays, one row per generated label.
      [parent] is a label id (-1 at the origin), [node] the label's last
      node, [via] the edge id taken into [node] (-1 at the origin).
@@ -36,23 +32,12 @@ type t = {
      remembers which nodes must be wiped between searches. *)
   mutable pareto : float Dynarray.t option array;
   touched : int Dynarray.t;
-  (* Path cache, keyed by src * n_nodes + dst. Entries are only ever
-     served after revalidation against the caller's current residual
-     state (see Astar_prune); [bind] flushes it whenever the physical
-     cluster changes. *)
-  cache : (int, Path.t) Hashtbl.t;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_revalidate_failed : int;
   mutable fast_path_hits : int;
 }
 
-let create ?(cache = false) ?(tree_fast_path = false) () =
+let create () =
   {
-    use_cache = cache;
-    use_tree_fast_path = tree_fast_path;
     bound = None;
-    n_nodes = 0;
     parent = [||];
     node = [||];
     via = [||];
@@ -65,18 +50,9 @@ let create ?(cache = false) ?(tree_fast_path = false) () =
     heap_size = 0;
     pareto = [||];
     touched = Dynarray.create ();
-    cache = Hashtbl.create 64;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_revalidate_failed = 0;
     fast_path_hits = 0;
   }
 
-let use_cache t = t.use_cache
-let use_tree_fast_path t = t.use_tree_fast_path
-let cache_hits t = t.cache_hits
-let cache_misses t = t.cache_misses
-let cache_revalidate_failed t = t.cache_revalidate_failed
 let fast_path_hits t = t.fast_path_hits
 
 let bind t cluster =
@@ -85,13 +61,11 @@ let bind t cluster =
   | Some c when c == csr -> ()
   | _ ->
     t.bound <- Some csr;
-    t.n_nodes <- Csr.n_nodes csr;
     (* Pool sizes are per-node: a different graph means different node
        ids, so the pooled Pareto arrays are dropped wholesale rather
        than risking a stale set surviving under a recycled id. *)
-    t.pareto <- Array.make t.n_nodes None;
-    Dynarray.reset t.touched;
-    Hashtbl.reset t.cache
+    t.pareto <- Array.make (Csr.n_nodes csr) None;
+    Dynarray.reset t.touched
 
 (* ---- label arena ---- *)
 
@@ -244,14 +218,3 @@ let reset_search t =
       match t.pareto.(v) with Some d -> Dynarray.reset d | None -> ())
     t.touched;
   Dynarray.reset t.touched
-
-(* ---- path cache ---- *)
-
-let cache_key t ~src ~dst = (src * t.n_nodes) + dst
-
-let cache_find t ~src ~dst =
-  if not t.use_cache then None
-  else Hashtbl.find_opt t.cache (cache_key t ~src ~dst)
-
-let cache_store t ~src ~dst path =
-  if t.use_cache then Hashtbl.replace t.cache (cache_key t ~src ~dst) path

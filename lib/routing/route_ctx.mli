@@ -4,45 +4,26 @@
     One context owns everything a search needs besides the problem
     itself — the label arena (a struct-of-arrays store with
     parent-pointer path reconstruction), the open-set heap of label
-    ids, pooled per-node Pareto sets, and the optional path cache — so
-    the ~150k [route] calls of one Networking pass share one steady
-    allocation instead of rebuilding cons-lists, bitsets and Pareto
-    arrays per call.
+    ids and pooled per-node Pareto sets — so the ~150k [route] calls
+    of one Networking pass share one steady allocation instead of
+    rebuilding cons-lists, bitsets and Pareto arrays per call.
 
-    {b Determinism.} With both options off (the default), a context
-    changes nothing observable: the engine produces bit-identical
-    paths and identical expanded/generated statistics to the
-    historical list-based implementation. The two opt-ins trade that
-    guarantee for speed:
-
-    - [cache]: paths are remembered per (src, dst) pair and reused
-      when they revalidate against the {e current} residual state
-      (minimum availability along the cached path at least the
-      requested bandwidth, recomputed latency within the bound). A
-      revalidated hit is feasible but not necessarily the widest
-      bottleneck any more, so selection may differ from a fresh
-      search.
-    - [tree_fast_path]: unique-path segments (sole-neighbor chains —
-      leaf hosts, pure trees, same-rack pairs) are collapsed without
-      search. The returned path is the one the search would return
-      (it is the only simple path), but the expanded/generated
-      statistics are 0 for such routes.
+    {b Determinism.} A context changes nothing observable: routes
+    returned through a shared context are the routes a fresh context
+    returns, with the same statistics.
 
     {b Staleness.} The context is (re)bound to a cluster on every
     [route] call; rebinding to a {e different} cluster (pointer
     inequality of the CSR view — defragmentation rebuilds residual
-    clusters) flushes the cache and resizes the pools, so a stale
-    entry can never be served across an [Occupancy.replace].
+    clusters) resizes the pools, so no per-node state survives an
+    [Occupancy.replace].
 
     A context must not be shared across domains. Fields are exposed
     for the engine's hot loop; treat everything except {!create} and
-    the counter accessors as internal to [Hmn_routing]. *)
+    {!fast_path_hits} as internal to [Hmn_routing]. *)
 
 type t = {
-  use_cache : bool;
-  use_tree_fast_path : bool;
   mutable bound : Hmn_graph.Csr.t option;
-  mutable n_nodes : int;
   (* label arena (struct of arrays, -1 = none for parent/via) *)
   mutable parent : int array;
   mutable node : int array;
@@ -58,44 +39,21 @@ type t = {
   (* pooled per-node Pareto sets, flattened (width, lat) pairs *)
   mutable pareto : float Hmn_dstruct.Dynarray.t option array;
   touched : int Hmn_dstruct.Dynarray.t;
-  cache : (int, Path.t) Hashtbl.t;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_revalidate_failed : int;
   mutable fast_path_hits : int;
 }
 
-val create : ?cache:bool -> ?tree_fast_path:bool -> unit -> t
-(** Both options default to [false] — the byte-identical engine. *)
-
-val use_cache : t -> bool
-val use_tree_fast_path : t -> bool
-
-(** {2 Counters}
-
-    Cumulative over the context's lifetime; [bind]-triggered cache
-    flushes do not reset them. *)
-
-val cache_hits : t -> int
-(** Cached paths served after successful revalidation. *)
-
-val cache_misses : t -> int
-(** Cache lookups that found no entry (counted only when the cache is
-    enabled). *)
-
-val cache_revalidate_failed : t -> int
-(** Cache entries found but rejected by revalidation against the
-    current residual state; the search then ran normally. *)
+val create : unit -> t
 
 val fast_path_hits : t -> int
 (** Routes resolved by the sole-neighbor tree fast path (feasible or
-    proven infeasible) without a search. *)
+    proven infeasible) without a search; cumulative over the context's
+    lifetime, rebinding does not reset it. *)
 
 (** {2 Engine internals} *)
 
 val bind : t -> Hmn_testbed.Cluster.t -> unit
-(** Size the pools for [cluster]; flush the cache and drop the pools
-    when the cluster's CSR view is not physically the one last bound. *)
+(** Size the pools for [cluster]; drop them when the cluster's CSR view
+    is not physically the one last bound. *)
 
 val reset_search : t -> unit
 (** O(touched nodes): empty the arena, the heap and the Pareto sets
@@ -133,10 +91,3 @@ val pareto_dominated : t -> int -> width:float -> lat:float -> bool
 val pareto_record : t -> int -> width:float -> lat:float -> unit
 (** Drop recorded pairs the new one dominates (in-place compaction),
     then append it. *)
-
-val cache_find : t -> src:int -> dst:int -> Path.t option
-(** [None] when caching is off or no entry exists. The caller must
-    revalidate before use and count hits/misses itself. *)
-
-val cache_store : t -> src:int -> dst:int -> Path.t -> unit
-(** No-op when caching is off. *)

@@ -242,15 +242,20 @@ let test_tampered_schema () =
 let test_write_read_dir () =
   let mapping = sample_mapping ~seed:13 () in
   let b = Compile.of_mapping ~format:Spec.Json mapping in
-  let dir = "artifact-write-test" in
-  Compile.write ~dir b;
-  match Decompile.read_dir ~dir with
-  | Error e -> Alcotest.fail e
-  | Ok files ->
-    Alcotest.(check bool) "same bytes back" true (files = b.Compile.files);
-    (match Decompile.run ~files with
-    | Error e -> Alcotest.fail e
-    | Ok d -> check_clean "disk round trip" (Check.check ~mapping d))
+  let dir = Filename.temp_dir "hmn-artifact" "" in
+  let remove_dir () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove_dir (fun () ->
+      Compile.write ~dir b;
+      match Decompile.read_dir ~dir with
+      | Error e -> Alcotest.fail e
+      | Ok files ->
+        Alcotest.(check bool) "same bytes back" true (files = b.Compile.files);
+        (match Decompile.run ~files with
+        | Error e -> Alcotest.fail e
+        | Ok d -> check_clean "disk round trip" (Check.check ~mapping d)))
 
 (* ---- per-tenant deltas ---- *)
 

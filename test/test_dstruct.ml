@@ -1,11 +1,8 @@
-(* Tests for hmn_dstruct: heaps, union-find, dynamic arrays, bitsets.
-   The imperative heaps are cross-checked against the persistent
-   pairing heap and against plain sorting. *)
+(* Tests for hmn_dstruct: heaps, dynamic arrays, bitsets. The heaps are
+   cross-checked against plain sorting. *)
 
 module Binary_heap = Hmn_dstruct.Binary_heap
 module Indexed_heap = Hmn_dstruct.Indexed_heap
-module Pairing_heap = Hmn_dstruct.Pairing_heap
-module Union_find = Hmn_dstruct.Union_find
 module Dynarray = Hmn_dstruct.Dynarray
 module Bitset = Hmn_dstruct.Bitset
 
@@ -129,53 +126,6 @@ let test_ih_dijkstra_pattern () =
   drain ();
   Alcotest.(check bool) "monotone drain" true !ok
 
-(* ---- Pairing_heap ---- *)
-
-let test_ph_basic () =
-  let h = Pairing_heap.of_list ~cmp:Int.compare [ 4; 2; 9; 1 ] in
-  Alcotest.(check int) "size" 4 (Pairing_heap.length h);
-  Alcotest.(check (option int)) "min" (Some 1) (Pairing_heap.find_min h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 4; 9 ] (Pairing_heap.to_sorted_list h);
-  (* Persistence: the original heap is unchanged by delete_min. *)
-  (match Pairing_heap.delete_min h with
-  | Some (1, h') -> Alcotest.(check int) "new size" 3 (Pairing_heap.length h')
-  | _ -> Alcotest.fail "expected min 1");
-  Alcotest.(check int) "original intact" 4 (Pairing_heap.length h)
-
-let test_ph_merge () =
-  let a = Pairing_heap.of_list ~cmp:Int.compare [ 5; 1 ] in
-  let b = Pairing_heap.of_list ~cmp:Int.compare [ 3; 0 ] in
-  let m = Pairing_heap.merge a b in
-  Alcotest.(check (list int)) "merged" [ 0; 1; 3; 5 ] (Pairing_heap.to_sorted_list m)
-
-(* ---- Union_find ---- *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  Alcotest.(check int) "initial sets" 5 (Union_find.count uf);
-  Alcotest.(check bool) "fresh union" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "redundant union" false (Union_find.union uf 0 1);
-  Alcotest.(check bool) "same" true (Union_find.same uf 0 1);
-  Alcotest.(check bool) "different" false (Union_find.same uf 0 2);
-  Alcotest.(check int) "sets after union" 4 (Union_find.count uf)
-
-let test_uf_transitivity () =
-  let uf = Union_find.create 6 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  ignore (Union_find.union uf 3 4);
-  Alcotest.(check bool) "transitive" true (Union_find.same uf 0 2);
-  Alcotest.(check bool) "disjoint groups" false (Union_find.same uf 2 3);
-  ignore (Union_find.union uf 2 3);
-  Alcotest.(check bool) "joined" true (Union_find.same uf 0 4);
-  Alcotest.(check int) "two sets left" 2 (Union_find.count uf)
-
-let test_uf_bounds () =
-  let uf = Union_find.create 3 in
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Union_find.find: element out of range") (fun () ->
-      ignore (Union_find.find uf 3))
-
 (* ---- Dynarray ---- *)
 
 let test_dyn_basic () =
@@ -271,15 +221,6 @@ let prop_bh_sorts =
       List.iter (Binary_heap.push h) xs;
       Binary_heap.to_sorted_list h = List.sort Int.compare xs)
 
-let prop_bh_matches_pairing =
-  QCheck.Test.make ~name:"binary heap agrees with pairing heap" ~count:300
-    QCheck.(list small_int)
-    (fun xs ->
-      let bh = Binary_heap.create ~cmp:Int.compare () in
-      List.iter (Binary_heap.push bh) xs;
-      let ph = Pairing_heap.of_list ~cmp:Int.compare xs in
-      Binary_heap.to_sorted_list bh = Pairing_heap.to_sorted_list ph)
-
 let prop_ih_drain_sorted =
   QCheck.Test.make ~name:"indexed heap drains monotonically" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range 0. 100.))
@@ -293,16 +234,6 @@ let prop_ih_drain_sorted =
         | Some (_, p) -> p >= last && drain p
       in
       drain neg_infinity)
-
-let prop_uf_components_partition =
-  QCheck.Test.make ~name:"union-find set count decreases exactly on fresh unions"
-    ~count:200
-    QCheck.(list (pair (int_range 0 19) (int_range 0 19)))
-    (fun edges ->
-      let uf = Union_find.create 20 in
-      let fresh = List.fold_left (fun acc (a, b) ->
-          if Union_find.union uf a b then acc + 1 else acc) 0 edges in
-      Union_find.count uf = 20 - fresh)
 
 let prop_bitset_mirrors_set =
   QCheck.Test.make ~name:"bitset mirrors a reference set" ~count:200
@@ -345,17 +276,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_ih_errors;
           Alcotest.test_case "dijkstra pattern" `Quick test_ih_dijkstra_pattern;
         ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basic & persistence" `Quick test_ph_basic;
-          Alcotest.test_case "merge" `Quick test_ph_merge;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_uf_basic;
-          Alcotest.test_case "transitivity" `Quick test_uf_transitivity;
-          Alcotest.test_case "bounds" `Quick test_uf_bounds;
-        ] );
       ( "dynarray",
         [
           Alcotest.test_case "basic" `Quick test_dyn_basic;
@@ -372,9 +292,7 @@ let () =
       ( "properties",
         [
           q prop_bh_sorts;
-          q prop_bh_matches_pairing;
           q prop_ih_drain_sorted;
-          q prop_uf_components_partition;
           q prop_bitset_mirrors_set;
         ] );
     ]

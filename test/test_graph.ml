@@ -1,13 +1,10 @@
-(* Tests for hmn_graph: the graph core, traversals, shortest/widest
-   paths (cross-checked against Floyd–Warshall and brute force), the
-   generic A*Prune, generators and DOT export. *)
+(* Tests for hmn_graph: the graph core, traversals, shortest paths
+   (cross-checked against a local Floyd–Warshall), generators,
+   betweenness, DOT export and the CSR view. *)
 
 module Graph = Hmn_graph.Graph
 module Traversal = Hmn_graph.Traversal
 module Dijkstra = Hmn_graph.Dijkstra
-module Widest = Hmn_graph.Widest_path
-module FW = Hmn_graph.Floyd_warshall
-module KSP = Hmn_graph.Astar_prune_k
 module Gen = Hmn_graph.Generators
 
 (* A small weighted test graph:
@@ -145,33 +142,40 @@ let test_distances_to_directed () =
   let d0 = Dijkstra.distances_to g ~weight:(weight g) ~dst:0 in
   Alcotest.(check bool) "2 cannot reach 0" true (d0.(2) = infinity)
 
-(* ---- Widest path ---- *)
-
-let test_widest_path () =
-  (* 0-1 capacity 10, 1-2 capacity 3, 0-2 capacity 4: widest 0->2 is the
-     direct edge (4), not through 1 (min(10,3)=3). *)
-  let g = Graph.create ~n:3 () in
-  ignore (Graph.add_edge g 0 1 10.);
-  ignore (Graph.add_edge g 1 2 3.);
-  ignore (Graph.add_edge g 0 2 4.);
-  let res = Widest.run g ~capacity:(weight g) ~src:0 in
-  Alcotest.(check (float 1e-9)) "width to 2" 4. res.Widest.width.(2);
-  (match Widest.path_to res 2 with
-  | Some (nodes, _) -> Alcotest.(check (list int)) "direct" [ 0; 2 ] nodes
-  | None -> Alcotest.fail "expected path");
-  Alcotest.(check bool) "src infinite" true (res.Widest.width.(0) = infinity)
-
 (* ---- Floyd–Warshall vs Dijkstra ---- *)
 
 let random_weighted_graph ~n ~rng =
   let shape = Gen.random_connected ~n ~density:0.3 ~rng in
   Graph.map_labels shape ~f:(fun ~eid:_ () -> 0.1 +. Hmn_rng.Rng.float rng)
 
+(* All-pairs shortest paths by Floyd–Warshall: O(n^3), an oracle for
+   Dijkstra only. *)
+let floyd_warshall g ~weight =
+  let n = Graph.n_nodes g in
+  let dist =
+    Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else infinity))
+  in
+  Graph.iter_edges g (fun ~eid ~u ~v _ ->
+      let w = weight eid in
+      if w < dist.(u).(v) then dist.(u).(v) <- w;
+      if Graph.kind g = Graph.Undirected && w < dist.(v).(u) then dist.(v).(u) <- w);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      let dik = dist.(i).(k) in
+      if dik < infinity then
+        for j = 0 to n - 1 do
+          let alt = dik +. dist.(k).(j) in
+          if alt < dist.(i).(j) then dist.(i).(j) <- alt
+        done
+    done
+  done;
+  dist
+
 let test_fw_matches_dijkstra () =
   let rng = Hmn_rng.Rng.create 7 in
   for _ = 1 to 5 do
     let g = random_weighted_graph ~n:12 ~rng in
-    let fw = FW.run g ~weight:(weight g) in
+    let fw = floyd_warshall g ~weight:(weight g) in
     for src = 0 to 11 do
       let d = Dijkstra.run g ~weight:(weight g) ~src in
       for v = 0 to 11 do
@@ -181,59 +185,6 @@ let test_fw_matches_dijkstra () =
       done
     done
   done
-
-(* ---- generic A*Prune ---- *)
-
-let test_ksp_unconstrained_shortest () =
-  let g, _, _, _ = diamond () in
-  match KSP.k_shortest g ~k:2 ~cost:(weight g) ~constraints:[] ~src:0 ~dst:2 with
-  | [ first; second ] ->
-    Alcotest.(check (float 1e-9)) "best cost" 2. first.KSP.cost;
-    Alcotest.(check (list int)) "best nodes" [ 0; 1; 2 ] first.KSP.nodes;
-    Alcotest.(check (float 1e-9)) "second cost" 5. second.KSP.cost;
-    Alcotest.(check (list int)) "second nodes" [ 0; 2 ] second.KSP.nodes
-  | paths -> Alcotest.failf "expected 2 paths, got %d" (List.length paths)
-
-let test_ksp_constraint_prunes () =
-  let g, _, _, _ = diamond () in
-  (* Hop-count <= 1 excludes the cheap two-hop path. *)
-  let hop_constraint = { KSP.metric = (fun _ -> 1.); bound = 1. } in
-  (match
-     KSP.k_shortest g ~k:5 ~cost:(weight g) ~constraints:[ hop_constraint ] ~src:0
-       ~dst:2
-   with
-  | [ only ] ->
-    Alcotest.(check (list int)) "forced direct" [ 0; 2 ] only.KSP.nodes;
-    Alcotest.(check (float 1e-9)) "constraint total" 1. only.KSP.constraint_totals.(0)
-  | paths -> Alcotest.failf "expected 1 path, got %d" (List.length paths));
-  (* An unsatisfiable constraint yields no paths. *)
-  let impossible = { KSP.metric = (fun _ -> 1.); bound = 0. } in
-  Alcotest.(check int) "unsatisfiable" 0
-    (List.length
-       (KSP.k_shortest g ~k:3 ~cost:(weight g) ~constraints:[ impossible ] ~src:0
-          ~dst:2))
-
-let test_ksp_src_eq_dst () =
-  let g, _, _, _ = diamond () in
-  match KSP.k_shortest g ~k:1 ~cost:(weight g) ~constraints:[] ~src:1 ~dst:1 with
-  | [ p ] ->
-    Alcotest.(check (list int)) "empty path" [ 1 ] p.KSP.nodes;
-    Alcotest.(check (float 1e-9)) "zero cost" 0. p.KSP.cost
-  | _ -> Alcotest.fail "expected the trivial path"
-
-let test_ksp_loopless_and_ordered () =
-  let rng = Hmn_rng.Rng.create 21 in
-  let g = random_weighted_graph ~n:10 ~rng in
-  let paths = KSP.k_shortest g ~k:6 ~cost:(weight g) ~constraints:[] ~src:0 ~dst:9 in
-  Alcotest.(check bool) "found some" true (List.length paths > 0);
-  let last = ref neg_infinity in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "non-decreasing" true (p.KSP.cost >= !last);
-      last := p.KSP.cost;
-      let dedup = List.sort_uniq compare p.KSP.nodes in
-      Alcotest.(check int) "loopless" (List.length p.KSP.nodes) (List.length dedup))
-    paths
 
 (* ---- generators ---- *)
 
@@ -323,61 +274,6 @@ let test_gen_waxman () =
   Alcotest.check_raises "alpha out of range"
     (Invalid_argument "Generators.waxman: alpha in (0,1] required") (fun () ->
       ignore (Gen.waxman ~n:5 ~alpha:0. ~beta:0.5 ~rng))
-
-(* ---- Yen ---- *)
-
-let test_yen_diamond () =
-  let g, _, _, _ = diamond () in
-  match Hmn_graph.Yen.k_shortest g ~k:3 ~cost:(weight g) ~src:0 ~dst:2 with
-  | [ first; second ] ->
-    Alcotest.(check (float 1e-9)) "best" 2. first.Hmn_graph.Yen.cost;
-    Alcotest.(check (list int)) "best nodes" [ 0; 1; 2 ] first.Hmn_graph.Yen.nodes;
-    Alcotest.(check (float 1e-9)) "second" 5. second.Hmn_graph.Yen.cost
-  | paths -> Alcotest.failf "expected exactly 2 paths, got %d" (List.length paths)
-
-let test_yen_src_eq_dst () =
-  let g, _, _, _ = diamond () in
-  match Hmn_graph.Yen.k_shortest g ~k:2 ~cost:(weight g) ~src:1 ~dst:1 with
-  | [ p ] ->
-    Alcotest.(check (list int)) "trivial" [ 1 ] p.Hmn_graph.Yen.nodes;
-    Alcotest.(check (float 1e-9)) "zero" 0. p.Hmn_graph.Yen.cost
-  | _ -> Alcotest.fail "expected the empty path"
-
-let test_yen_unreachable () =
-  let g, _, _, _ = diamond () in
-  Alcotest.(check int) "no path to isolated node" 0
-    (List.length (Hmn_graph.Yen.k_shortest g ~k:3 ~cost:(weight g) ~src:0 ~dst:3))
-
-let prop_yen_matches_astar_prune =
-  (* Yen and the generic A*Prune must return identical cost sequences
-     on unconstrained instances. *)
-  QCheck.Test.make ~name:"Yen agrees with A*Prune on unconstrained K-shortest"
-    ~count:50 QCheck.small_nat
-    (fun seed ->
-      let rng = Hmn_rng.Rng.create (seed + 7000) in
-      let g = random_weighted_graph ~n:10 ~rng in
-      let yen = Hmn_graph.Yen.k_shortest g ~k:5 ~cost:(weight g) ~src:0 ~dst:9 in
-      let ksp = KSP.k_shortest g ~k:5 ~cost:(weight g) ~constraints:[] ~src:0 ~dst:9 in
-      List.length yen = List.length ksp
-      && List.for_all2
-           (fun (y : Hmn_graph.Yen.path) (a : KSP.path) ->
-             Hmn_prelude.Float_ext.approx y.Hmn_graph.Yen.cost a.KSP.cost)
-           yen ksp)
-
-let prop_yen_paths_loopless_sorted =
-  QCheck.Test.make ~name:"Yen paths are loopless, sorted, distinct" ~count:50
-    QCheck.small_nat
-    (fun seed ->
-      let rng = Hmn_rng.Rng.create (seed + 8000) in
-      let g = random_weighted_graph ~n:10 ~rng in
-      let paths = Hmn_graph.Yen.k_shortest g ~k:6 ~cost:(weight g) ~src:0 ~dst:9 in
-      let costs = List.map (fun p -> p.Hmn_graph.Yen.cost) paths in
-      let node_lists = List.map (fun p -> p.Hmn_graph.Yen.nodes) paths in
-      List.sort Float.compare costs = costs
-      && List.length (List.sort_uniq compare node_lists) = List.length node_lists
-      && List.for_all
-           (fun ns -> List.length (List.sort_uniq compare ns) = List.length ns)
-           node_lists)
 
 (* ---- Betweenness ---- *)
 
@@ -487,48 +383,6 @@ let prop_dijkstra_triangle_inequality =
           if d0.(v) > d0.(u) +. w +. 1e-9 then ok := false;
           if d0.(u) > d0.(v) +. w +. 1e-9 then ok := false);
       !ok)
-
-let prop_widest_path_is_optimal =
-  (* Brute-force all simple paths on small graphs and compare widths. *)
-  QCheck.Test.make ~name:"widest path matches brute force on small graphs" ~count:50
-    seed_gen
-    (fun seed ->
-      let rng = Hmn_rng.Rng.create seed in
-      let shape = Gen.random_connected ~n:7 ~density:0.4 ~rng in
-      let g =
-        Graph.map_labels shape ~f:(fun ~eid:_ () -> 1. +. Hmn_rng.Rng.float rng)
-      in
-      let best = Array.make 7 neg_infinity in
-      let visited = Array.make 7 false in
-      let rec explore u width =
-        if width > best.(u) then best.(u) <- width;
-        Graph.iter_adj g u (fun ~neighbor ~eid ->
-            if not visited.(neighbor) then begin
-              visited.(neighbor) <- true;
-              explore neighbor (Float.min width (Graph.label g eid));
-              visited.(neighbor) <- false
-            end)
-      in
-      visited.(0) <- true;
-      explore 0 infinity;
-      let res = Widest.run g ~capacity:(weight g) ~src:0 in
-      let ok = ref true in
-      for v = 1 to 6 do
-        if not (Hmn_prelude.Float_ext.approx best.(v) res.Widest.width.(v)) then
-          ok := false
-      done;
-      !ok)
-
-let prop_ksp_first_matches_dijkstra =
-  QCheck.Test.make ~name:"A*Prune first path = Dijkstra optimum" ~count:50 seed_gen
-    (fun seed ->
-      let rng = Hmn_rng.Rng.create seed in
-      let g = random_weighted_graph ~n:12 ~rng in
-      let dij = (Dijkstra.run g ~weight:(weight g) ~src:0).Dijkstra.dist in
-      match KSP.k_shortest g ~k:1 ~cost:(weight g) ~constraints:[] ~src:0 ~dst:11 with
-      | [ p ] -> Hmn_prelude.Float_ext.approx p.KSP.cost dij.(11)
-      | [] -> dij.(11) = infinity
-      | _ -> false)
 
 let prop_bfs_hops_vs_dijkstra_unit =
   QCheck.Test.make ~name:"BFS hops equal unit-weight Dijkstra" ~count:50 seed_gen
@@ -674,17 +528,8 @@ let () =
             test_distances_to_undirected;
           Alcotest.test_case "distances_to directed" `Quick test_distances_to_directed;
         ] );
-      ("widest", [ Alcotest.test_case "widest path" `Quick test_widest_path ]);
       ( "floyd-warshall",
         [ Alcotest.test_case "matches dijkstra" `Slow test_fw_matches_dijkstra ] );
-      ( "astar_prune_k",
-        [
-          Alcotest.test_case "unconstrained shortest" `Quick
-            test_ksp_unconstrained_shortest;
-          Alcotest.test_case "constraint pruning" `Quick test_ksp_constraint_prunes;
-          Alcotest.test_case "src = dst" `Quick test_ksp_src_eq_dst;
-          Alcotest.test_case "loopless & ordered" `Quick test_ksp_loopless_and_ordered;
-        ] );
       ( "generators",
         [
           Alcotest.test_case "line/ring/star/complete" `Quick
@@ -698,12 +543,6 @@ let () =
           Alcotest.test_case "barabasi-albert" `Quick test_gen_barabasi_albert;
           Alcotest.test_case "waxman" `Quick test_gen_waxman;
         ] );
-      ( "yen",
-        [
-          Alcotest.test_case "diamond" `Quick test_yen_diamond;
-          Alcotest.test_case "src = dst" `Quick test_yen_src_eq_dst;
-          Alcotest.test_case "unreachable" `Quick test_yen_unreachable;
-        ] );
       ( "betweenness",
         [
           Alcotest.test_case "path graph" `Quick test_betweenness_path_graph;
@@ -715,11 +554,7 @@ let () =
         [
           q prop_random_connected_always_connected;
           q prop_dijkstra_triangle_inequality;
-          q prop_widest_path_is_optimal;
-          q prop_ksp_first_matches_dijkstra;
           q prop_bfs_hops_vs_dijkstra_unit;
-          q prop_yen_matches_astar_prune;
-          q prop_yen_paths_loopless_sorted;
         ] );
       ( "csr",
         [
