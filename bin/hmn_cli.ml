@@ -250,20 +250,7 @@ let profile_cmd =
         Pretty_table.print t;
         print_newline ()
       end;
-      List.iter
-        (fun (name, h) ->
-          Printf.printf "histogram %s: %d observations\n" name
-            h.Metrics.observations;
-          Array.iteri
-            (fun i n ->
-              if n > 0 then
-                if i < Array.length h.Metrics.bounds then
-                  Printf.printf "  <= %g: %d\n" h.Metrics.bounds.(i) n
-                else Printf.printf "  > %g: %d\n"
-                    h.Metrics.bounds.(Array.length h.Metrics.bounds - 1)
-                    n)
-            h.Metrics.bucket_counts)
-        snap.Metrics.histograms;
+      print_string (Metrics.render { snap with Metrics.counters = []; gauge_maxima = [] });
       (match trace with
       | None -> ()
       | Some path ->
@@ -471,7 +458,12 @@ let experiments_cmd =
         prerr_endline "hmn_cli: --jobs must be >= 1";
         exit 2
     in
+    let t0 = Hmn_prelude.Clock.now_s () in
     let results = Hmn_experiments.Runner.run ~config () in
+    (* Wall time goes to stderr so stdout stays byte-diffable across
+       runs and jobs counts (the mapping-time table aside). *)
+    Printf.eprintf "timing: sweep wall=%.3fs jobs=%d\n"
+      (Hmn_prelude.Clock.elapsed_s t0) config.Hmn_experiments.Runner.jobs;
     (match config.Hmn_experiments.Runner.trace with
     | Some path -> Printf.eprintf "wrote %s (load in about:tracing or Perfetto)\n" path
     | None -> ());
@@ -488,6 +480,12 @@ let experiments_cmd =
     print_string
       (Hmn_experiments.Paper_check.render
          (Hmn_experiments.Paper_check.check_all results));
+    (* HMN_METRICS: the counter/histogram aggregates merged over every
+       worker domain, identical at any --jobs *)
+    if config.Hmn_experiments.Runner.metrics then begin
+      print_newline ();
+      print_string (Hmn_obs.Metrics.render (Hmn_obs.Metrics.snapshot ()))
+    end;
     match csv with
     | None -> ()
     | Some file ->
@@ -548,6 +546,26 @@ let ablation_cmd =
     Term.(const run $ reps_t $ which_t)
 
 (* ---- online ---- *)
+
+(* The pinned session behind [online --smoke] and [slo --smoke]: small
+   enough for CI, busy enough to exercise admission, rejection,
+   departures and defragmentation. *)
+let smoke_setup ~defrag ~defrag_on_reject ~validate =
+  ( Hmn_testbed.Cluster_gen.torus_cluster ~rows:3 ~cols:4 ~rng:(Hmn_rng.Rng.create 7) (),
+    {
+      Hmn_online.Service.seed = 11;
+      arrival_rate_per_s = 1. /. 45.;
+      mean_holding_s = 300.;
+      duration_s = 1800.;
+      guests_lo = 3;
+      guests_hi = 6;
+      density = 0.3;
+      profile = Hmn_vnet.Workload.high_level;
+      scale_frac = 0.3;
+      defrag;
+      defrag_on_reject;
+      validate;
+    } )
 
 let online_cmd =
   let module Service = Hmn_online.Service in
@@ -727,25 +745,7 @@ let online_cmd =
           }
     in
     let cluster, config =
-      if smoke then
-        (* pinned: small enough for CI, busy enough to exercise
-           admission, rejection, departures and defragmentation *)
-        ( Hmn_testbed.Cluster_gen.torus_cluster ~rows:3 ~cols:4
-            ~rng:(Hmn_rng.Rng.create 7) (),
-          {
-            Service.seed = 11;
-            arrival_rate_per_s = 1. /. 45.;
-            mean_holding_s = 300.;
-            duration_s = 1800.;
-            guests_lo = 3;
-            guests_hi = 6;
-            density = 0.3;
-            profile = Hmn_vnet.Workload.high_level;
-            scale_frac = 0.3;
-            defrag;
-            defrag_on_reject;
-            validate = true;
-          } )
+      if smoke then smoke_setup ~defrag ~defrag_on_reject ~validate:true
       else
         ( Hmn_experiments.Scenario.build_cluster cluster_kind
             ~rng:(Hmn_rng.Rng.create seed),
@@ -997,42 +997,28 @@ let slo_cmd =
       | Hmn_experiments.Scenario.High_level -> Hmn_vnet.Workload.high_level
       | Hmn_experiments.Scenario.Low_level -> Hmn_vnet.Workload.low_level
     in
-    let cluster, config, latency =
+    let (cluster, config), latency =
       if smoke then
-        ( Hmn_testbed.Cluster_gen.torus_cluster ~rows:3 ~cols:4
-            ~rng:(Hmn_rng.Rng.create 7) (),
-          {
-            Service.seed = 11;
-            arrival_rate_per_s = 1. /. 45.;
-            mean_holding_s = 300.;
-            duration_s = 1800.;
-            guests_lo = 3;
-            guests_hi = 6;
-            density = 0.3;
-            profile = Hmn_vnet.Workload.high_level;
-            scale_frac = 0.3;
-            defrag = Some Defrag.default;
-            defrag_on_reject = false;
-            validate = false;
-          },
+        ( smoke_setup ~defrag:(Some Defrag.default) ~defrag_on_reject:false
+            ~validate:false,
           Report.Work_units )
       else
-        ( Hmn_experiments.Scenario.build_cluster cluster_kind
-            ~rng:(Hmn_rng.Rng.create seed),
-          {
-            Service.seed;
-            arrival_rate_per_s = rate;
-            mean_holding_s = holding;
-            duration_s = duration;
-            guests_lo;
-            guests_hi;
-            density;
-            profile;
-            scale_frac = scale;
-            defrag = Some Defrag.default;
-            defrag_on_reject = false;
-            validate = false;
-          },
+        ( ( Hmn_experiments.Scenario.build_cluster cluster_kind
+              ~rng:(Hmn_rng.Rng.create seed),
+            {
+              Service.seed;
+              arrival_rate_per_s = rate;
+              mean_holding_s = holding;
+              duration_s = duration;
+              guests_lo;
+              guests_hi;
+              density;
+              profile;
+              scale_frac = scale;
+              defrag = Some Defrag.default;
+              defrag_on_reject = false;
+              validate = false;
+            } ),
           unit )
     in
     let policies = if policies = [] then Report.default_policies else policies in

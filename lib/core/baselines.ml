@@ -77,9 +77,7 @@ let with_retries ~max_tries ~attempt =
   let finish ~tries ~result ~last_failure =
     if Metrics.enabled () then begin
       Metrics.Counter.add (Metrics.counter "baseline.tries") tries;
-      Metrics.Histogram.observe
-        (Metrics.histogram "baseline.tries_per_run")
-        (float_of_int tries)
+      Metrics.Histogram.observe (Metrics.histogram "baseline.tries_per_run") tries
     end;
     {
       Mapper.result;

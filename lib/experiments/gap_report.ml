@@ -234,16 +234,25 @@ let render_csv runs =
     runs;
   Buffer.contents b
 
+(* Root bound over proven optimum: 1.0 means the relaxation is exact at
+   the root; the shortfall is the integrality gap the search closes. *)
+let tightness r =
+  match r.optimum with
+  | Some opt when opt > 1e-9 -> Printf.sprintf "%.4f" (r.root_bound /. opt)
+  | _ -> "-"
+
 let render_timings runs =
   let b = Buffer.create 256 in
   List.iter
     (fun r ->
+      let s = r.solver in
       Buffer.add_string b
         (Printf.sprintf
            "timing: %s seed=%d nodes=%d leaves=%d certifications=%d \
-            root_bound=%.3f lower_bound=%.3f wall=%.3fs\n"
-           r.label r.seed r.solver.Solver.nodes r.solver.Solver.leaves
-           r.solver.Solver.networking_runs r.root_bound
-           r.solver.Solver.lower_bound r.wall_s))
+            bound_prunes=%d admissibility_rejects=%d deadend_prunes=%d \
+            root_bound=%.3f lower_bound=%.3f tightness=%s wall=%.3fs\n"
+           r.label r.seed s.Solver.nodes s.Solver.leaves s.Solver.networking_runs
+           s.Solver.bound_prunes s.Solver.admissibility_rejects s.Solver.deadend_prunes
+           r.root_bound s.Solver.lower_bound (tightness r) r.wall_s))
     runs;
   Buffer.contents b

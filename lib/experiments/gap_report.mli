@@ -65,5 +65,8 @@ val render_csv : instance_run list -> string
     with empty fields where a value does not exist. *)
 
 val render_timings : instance_run list -> string
-(** Exact-solver wall time and node count per instance; print to
-    stderr, never into diffed output. *)
+(** Per instance: exact-solver search effort (nodes, leaves,
+    certification runs, bound/admissibility/dead-end prunes), the root
+    and final bounds, root-bound tightness [root_bound / optimum] ([-]
+    without a positive optimum) and wall time. Print to stderr, never
+    into diffed output. *)

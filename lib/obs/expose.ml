@@ -20,6 +20,8 @@ let add_family buf ~name ~kind ~samples =
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
   List.iter (fun line -> Buffer.add_string buf line) samples
 
+let summary_quantiles = [ 0.5; 0.9; 0.99; 0.999 ]
+
 let render ?namespace (s : Metrics.snapshot) =
   let buf = Buffer.create 2048 in
   List.iter
@@ -37,27 +39,16 @@ let render ?namespace (s : Metrics.snapshot) =
   List.iter
     (fun (name, (h : Metrics.histogram_snapshot)) ->
       let n = metric_name ?namespace name in
-      let cumulative = ref 0 in
-      let buckets =
-        Array.to_list
-          (Array.mapi
-             (fun i count ->
-               cumulative := !cumulative + count;
-               let le =
-                 if i < Array.length h.bounds then
-                   Printf.sprintf "%g" h.bounds.(i)
-                 else "+Inf"
-               in
-               Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n le !cumulative)
-             h.bucket_counts)
-      in
-      add_family buf ~name:n ~kind:"histogram"
+      add_family buf ~name:n ~kind:"summary"
         ~samples:
-          (buckets
+          (List.map
+             (fun q ->
+               Printf.sprintf "%s{quantile=\"%g\"} %d\n" n q
+                 (Quantile.quantile h.quantile q))
+             summary_quantiles
           @ [
-              Printf.sprintf "%s_count %d\n" n h.observations;
-              Printf.sprintf "%s_sum %g\n" n
-                (float_of_int h.sum_milli /. 1000.);
+              Printf.sprintf "%s_sum %d\n" n h.sum;
+              Printf.sprintf "%s_count %d\n" n (Quantile.count h.quantile);
             ]))
     s.histograms;
   Buffer.contents buf

@@ -1,9 +1,9 @@
 (** Prometheus text-format exposition for a {!Metrics.snapshot}.
 
     Renders the standard families: counters as [<name>_total], gauge
-    maxima as gauges, histograms as cumulative [_bucket{le="..."}]
-    series plus [_count] and [_sum] (the sum comes from the snapshot's
-    exact integer milliunit accumulator, divided by 1000). Metric names
+    maxima as gauges, histograms as summaries — quantiles 0.5, 0.9,
+    0.99 and 0.999 from the merged {!Quantile}, plus [_sum] (the exact
+    integer sum, printed in full) and [_count]. Metric names
     are sanitized to the Prometheus charset — every character outside
     [[a-zA-Z0-9_:]] becomes ['_'] — and prefixed with the namespace.
 

@@ -15,20 +15,15 @@ type gauge = {
 }
 
 type histogram = {
-  bounds : float array;
-  buckets : int array;  (* length = Array.length bounds + 1 (overflow) *)
-  mutable observations : int;
-  (* running sum kept in integer milliunits so cross-domain merges stay
-     exact and order-insensitive, like the bucket counts *)
-  mutable sum_milli : int;
+  (* replaced by a fresh one on [reset]: Quantile has no clear *)
+  mutable q : Quantile.t;
+  mutable sum : int;
   h_live : bool;
 }
 
 let inert_counter = { count = 0; c_live = false }
 let inert_gauge = { last = 0; max_v = 0; g_live = false }
-
-let inert_histogram =
-  { bounds = [||]; buckets = [| 0 |]; observations = 0; sum_milli = 0; h_live = false }
+let inert_histogram = { q = Quantile.create (); sum = 0; h_live = false }
 
 type collector = {
   counters : (string, counter) Hashtbl.t;
@@ -92,45 +87,14 @@ let gauge name =
       h
   end
 
-let default_bounds = [| 1.; 10.; 100.; 1e3; 1e4; 1e5; 1e6 |]
-
-(* Edges are computed as 10^(k / per_decade) for integer k, not by
-   repeated multiplication, so every call site asking for the same
-   range gets bit-identical bounds (required by the cross-domain
-   bounds-agreement check in [snapshot]). *)
-let log_bounds ~lo ~hi ~per_decade =
-  if per_decade <= 0 then invalid_arg "Metrics.log_bounds: per_decade must be positive";
-  if not (lo > 0. && hi > lo) then
-    invalid_arg "Metrics.log_bounds: need 0 < lo < hi";
-  let pd = float_of_int per_decade in
-  let k_lo = int_of_float (Float.round (Float.log10 lo *. pd)) in
-  let k_hi = int_of_float (Float.ceil (Float.log10 hi *. pd -. 1e-9)) in
-  Array.init (k_hi - k_lo + 1) (fun i ->
-      10. ** (float_of_int (k_lo + i) /. pd))
-
-let histogram ?(bounds = default_bounds) name =
+let histogram name =
   if not (enabled ()) then inert_histogram
   else begin
-    if Array.length bounds = 0 then
-      invalid_arg "Metrics.histogram: empty bounds";
-    Array.iteri
-      (fun i b ->
-        if i > 0 && not (bounds.(i - 1) < b) then
-          invalid_arg "Metrics.histogram: bounds must be strictly increasing")
-      bounds;
     let c = my_collector () in
     match Hashtbl.find_opt c.histograms name with
     | Some h -> h
     | None ->
-      let h =
-        {
-          bounds = Array.copy bounds;
-          buckets = Array.make (Array.length bounds + 1) 0;
-          observations = 0;
-          sum_milli = 0;
-          h_live = true;
-        }
-      in
+      let h = { q = Quantile.create (); sum = 0; h_live = true } in
       Hashtbl.add c.histograms name h;
       h
   end
@@ -151,32 +115,20 @@ module Gauge = struct
 end
 
 module Histogram = struct
-  (* First bucket whose upper edge admits [v]; linear scan — bucket
-     counts are small (default 7) and the arrays are contiguous. *)
-  let bucket_of bounds v =
-    let n = Array.length bounds in
-    let i = ref 0 in
-    while !i < n && v > bounds.(!i) do
-      incr i
-    done;
-    !i
-
   let observe h v =
     if h.h_live then begin
-      let b = bucket_of h.bounds v in
-      h.buckets.(b) <- h.buckets.(b) + 1;
-      h.observations <- h.observations + 1;
-      h.sum_milli <- h.sum_milli + int_of_float (Float.round (v *. 1000.))
+      (* clamp like Quantile.record so the sum matches what it counted *)
+      let v = Int.max 0 v in
+      Quantile.record h.q v;
+      h.sum <- h.sum + v
     end
 end
 
 (* ---- aggregation ---- *)
 
 type histogram_snapshot = {
-  bounds : float array;
-  bucket_counts : int array;
-  observations : int;
-  sum_milli : int;
+  quantile : Quantile.t;
+  sum : int;
 }
 
 type snapshot = {
@@ -188,10 +140,10 @@ type snapshot = {
 let sorted_bindings tbl =
   List.sort (fun (a, _) (b, _) -> String.compare a b) tbl
 
-(* Integer sums and maxima are associative and commutative over exact
-   values, so the merged result is independent of both the number of
-   collectors and the order they registered in — jobs=1 and jobs=N
-   sweeps aggregate byte-identically. *)
+(* Integer sums, maxima and Quantile's element-wise bucket sums are
+   associative and commutative over exact values, so the merged result
+   is independent of both the number of collectors and the order they
+   registered in — jobs=1 and jobs=N sweeps aggregate byte-identically. *)
 let snapshot () =
   Mutex.lock registry_mutex;
   let collectors = !registry in
@@ -214,28 +166,10 @@ let snapshot () =
       Hashtbl.iter
         (fun name (h : histogram) ->
           match Hashtbl.find_opt histograms name with
-          | None ->
-            Hashtbl.add histograms name
-              {
-                bounds = Array.copy h.bounds;
-                bucket_counts = Array.copy h.buckets;
-                observations = h.observations;
-                sum_milli = h.sum_milli;
-              }
+          | None -> Hashtbl.add histograms name { quantile = Quantile.copy h.q; sum = h.sum }
           | Some acc ->
-            if acc.bounds <> h.bounds then
-              invalid_arg
-                ("Metrics.snapshot: histogram " ^ name
-               ^ " has mismatched bounds across domains");
-            Array.iteri
-              (fun i n -> acc.bucket_counts.(i) <- acc.bucket_counts.(i) + n)
-              h.buckets;
-            Hashtbl.replace histograms name
-              {
-                acc with
-                observations = acc.observations + h.observations;
-                sum_milli = acc.sum_milli + h.sum_milli;
-              })
+            Quantile.merge_into ~into:acc.quantile h.q;
+            Hashtbl.replace histograms name { acc with sum = acc.sum + h.sum })
         c.histograms)
     collectors;
   let bindings tbl = sorted_bindings (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
@@ -258,10 +192,9 @@ let reset () =
           h.max_v <- 0)
         c.gauges;
       Hashtbl.iter
-        (fun _ h ->
-          Array.fill h.buckets 0 (Array.length h.buckets) 0;
-          h.observations <- 0;
-          h.sum_milli <- 0)
+        (fun _ (h : histogram) ->
+          h.q <- Quantile.create ();
+          h.sum <- 0)
         c.histograms)
     collectors
 
@@ -276,13 +209,10 @@ let render s =
     s.gauge_maxima;
   List.iter
     (fun (name, h) ->
-      Buffer.add_string buf (Printf.sprintf "histogram %s n=%d" name h.observations);
-      Array.iteri
-        (fun i n ->
-          if i < Array.length h.bounds then
-            Buffer.add_string buf (Printf.sprintf " le%g=%d" h.bounds.(i) n)
-          else Buffer.add_string buf (Printf.sprintf " inf=%d" n))
-        h.bucket_counts;
-      Buffer.add_char buf '\n')
+      let q = Quantile.quantile h.quantile in
+      Buffer.add_string buf
+        (Printf.sprintf "histogram %s n=%d p50=%d p90=%d p99=%d max=%d sum=%d\n" name
+           (Quantile.count h.quantile) (q 0.5) (q 0.9) (q 0.99)
+           (Quantile.max_value h.quantile) h.sum))
     s.histograms;
   Buffer.contents buf

@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges, and fixed-bucket
+(** Metrics registry: named counters, gauges, and {!Quantile}-backed
     histograms with O(1) updates, designed for the mapping hot paths.
 
     {b Sink model.} Metrics are globally disabled by default. While
@@ -15,7 +15,8 @@
     [Hmn_prelude.Domain_pool] never contend on shared state.
     {!snapshot} merges all collectors ever created. Every merge
     operation is commutative and order-insensitive over exact values —
-    integer sums for counters and histogram buckets, maxima for gauges —
+    integer sums for counters and histogram sums, maxima for gauges,
+    {!Quantile.merge_into} for histogram buckets —
     so the merged aggregate is {e byte-identical} no matter how many
     domains the work was spread over (the same discipline as
     [Running.merge] in the experiment sweep).
@@ -42,20 +43,9 @@ val counter : string -> counter
 
 val gauge : string -> gauge
 
-val histogram : ?bounds:float array -> string -> histogram
-(** [bounds] are the upper-inclusive bucket edges, strictly increasing;
-    observations above the last edge land in an overflow bucket. The
-    bounds of the first creation win for a given name (they must agree
-    across domains, which they do when every site passes the same
-    literal). Default: powers of ten from 1 to 1e6. *)
-
-val log_bounds : lo:float -> hi:float -> per_decade:int -> float array
-(** Log-scaled bucket edges [10^(k / per_decade)] covering [[lo, hi]],
-    computed from integer exponents so every call site with the same
-    arguments gets bit-identical bounds. E.g.
-    [log_bounds ~lo:1e-3 ~hi:1e4 ~per_decade:3] gives 22 edges
-    0.001, ~0.00215, ~0.00464, 0.01, … 10000 — fine enough to tell
-    sub-millisecond admissions apart. *)
+val histogram : string -> histogram
+(** The named histogram of the calling domain's collector: a
+    {!Quantile.t} plus an exact integer sum of the observations. *)
 
 module Counter : sig
   val incr : counter -> unit
@@ -69,19 +59,16 @@ module Gauge : sig
 end
 
 module Histogram : sig
-  val observe : histogram -> float -> unit
+  val observe : histogram -> int -> unit
+  (** Records one value; negative values clamp to 0, as in
+      {!Quantile.record}. Callers pick the unit (e.g. nanoseconds). *)
 end
 
 (** {2 Aggregation} *)
 
 type histogram_snapshot = {
-  bounds : float array;
-  bucket_counts : int array;  (** length [Array.length bounds + 1] *)
-  observations : int;
-  sum_milli : int;
-      (** sum of observations in integer milliunits (each observation
-          contributes [round (v * 1000)]) — exact under merging; used
-          by [Expose] for the Prometheus [_sum] series *)
+  quantile : Quantile.t;  (** merged over every domain; count via {!Quantile.count} *)
+  sum : int;  (** exact sum of the observations *)
 }
 
 type snapshot = {
@@ -99,4 +86,5 @@ val reset : unit -> unit
 
 val render : snapshot -> string
 (** Sorted plain-text rendering, one metric per line — stable across
-    domain counts, usable for byte-comparison in tests. *)
+    domain counts, usable for byte-comparison in tests. A histogram
+    line reads [histogram NAME n=.. p50=.. p90=.. p99=.. max=.. sum=..]. *)

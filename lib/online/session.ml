@@ -50,7 +50,7 @@ type t = {
   c_defrag_moves : Metrics.counter;
   g_tenants : Metrics.gauge;
   g_guests : Metrics.gauge;
-  h_admit_ms : Metrics.histogram;
+  h_admit_ns : Metrics.histogram;
 }
 
 let create ?flight ~policy ~seed occ =
@@ -82,12 +82,7 @@ let create ?flight ~policy ~seed occ =
     c_defrag_moves = Metrics.counter "online.defrag_moves";
     g_tenants = Metrics.gauge "online.tenants";
     g_guests = Metrics.gauge "online.guests";
-    h_admit_ms =
-      (* log-scaled edges (3 per decade, 1 us to 10 s) so sub-ms
-         admissions land in distinguishable buckets *)
-      Metrics.histogram
-        ~bounds:(Metrics.log_bounds ~lo:1e-3 ~hi:1e4 ~per_decade:3)
-        "online.admit_ms";
+    h_admit_ns = Metrics.histogram "online.admit_ns";
   }
   in
   (* the timeline's first row is the empty cluster at t = 0 *)
@@ -132,7 +127,8 @@ let observe_arrival t ~admitted ~admit_seconds ~work =
   Metrics.Counter.incr t.c_arrivals;
   (* wall-clock admission latency feeds observability only; the
      deterministic summary never sees it *)
-  Metrics.Histogram.observe t.h_admit_ms (admit_seconds *. 1000.);
+  Metrics.Histogram.observe t.h_admit_ns
+    (int_of_float (Float.round (admit_seconds *. 1e9)));
   (match t.flight with
   | Some f -> Flight.observe_admission f ~seconds:admit_seconds ~work
   | None -> ());

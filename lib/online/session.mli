@@ -4,7 +4,7 @@
     Determinism discipline: everything in {!summary} is derived from
     simulated time and simulated state only. Wall-clock quantities (the
     mapper's admission latency) go exclusively into the metrics
-    histogram [online.admit_ms] and the flight recorder's wall-clock
+    histogram [online.admit_ns] and the flight recorder's wall-clock
     quantile channel, so a fixed seed yields a byte-identical rendered
     summary on any machine.
 
@@ -49,7 +49,7 @@ val tick : t -> now:float -> unit
 val observe_arrival :
   t -> admitted:bool -> admit_seconds:float -> work:int -> unit
 (** Counts the arrival and its outcome. [admit_seconds] (wall-clock) is
-    recorded only in the [online.admit_ms] histogram and the flight
+    recorded only in the [online.admit_ns] histogram and the flight
     recorder's wall-clock quantile; [work]
     ({!Admission.work}, deterministic) feeds the pinnable quantile. *)
 

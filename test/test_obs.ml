@@ -1,5 +1,5 @@
-(* Tests for hmn_obs: registry semantics (counters, gauges, histogram
-   bucketing), the disabled-sink no-op contract, the monotonic clock,
+(* Tests for hmn_obs: registry semantics (counters, gauges, Quantile-
+   backed histograms), the disabled-sink no-op contract, the monotonic clock,
    the tracer's Chrome JSON output, and the cross-cutting determinism
    guarantee — a metrics-enabled sweep yields byte-identical aggregates
    at jobs=1 and jobs=4.
@@ -13,6 +13,7 @@ module Trace = Hmn_obs.Trace
 module Clock = Hmn_prelude.Clock
 module Json = Hmn_prelude.Json
 module Runner = Hmn_experiments.Runner
+module Quantile = Hmn_obs.Quantile
 
 let find_counter snap name =
   match List.assoc_opt name snap.Metrics.counters with
@@ -51,19 +52,27 @@ let test_gauge_keeps_maximum () =
   Alcotest.(check int) "max observed" 11
     (List.assoc "t.gauge" snap.Metrics.gauge_maxima)
 
-let test_histogram_buckets () =
+let test_histogram_quantiles () =
   Metrics.enable ();
   Metrics.reset ();
-  let h = Metrics.histogram ~bounds:[| 1.; 2. |] "t.hist" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 1.0; 1.5; 3.0 ];
+  let h = Metrics.histogram "t.hist" in
+  List.iter (Metrics.Histogram.observe h) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
+  (* a second lookup reaches the same cell *)
+  Metrics.Histogram.observe (Metrics.histogram "t.hist") 5;
   let snap = Metrics.snapshot () in
   let hs = List.assoc "t.hist" snap.Metrics.histograms in
-  (* bounds are upper-inclusive: 0.5 and 1.0 -> le 1, 1.5 -> le 2,
-     3.0 -> overflow *)
-  Alcotest.(check (array (float 0.))) "bounds kept" [| 1.; 2. |] hs.Metrics.bounds;
-  Alcotest.(check (list int)) "bucket counts" [ 2; 1; 1 ]
-    (Array.to_list hs.Metrics.bucket_counts);
-  Alcotest.(check int) "observation count" 4 hs.Metrics.observations
+  (* values below 2^7 are exact in the default Quantile layout *)
+  Alcotest.(check int) "count" 9 (Quantile.count hs.Metrics.quantile);
+  Alcotest.(check int) "p50" 4 (Quantile.quantile hs.Metrics.quantile 0.5);
+  Alcotest.(check int) "max" 9 (Quantile.max_value hs.Metrics.quantile);
+  Alcotest.(check int) "exact sum" 36 hs.Metrics.sum;
+  Alcotest.(check bool) "rendered on one line" true
+    (String.equal
+       (Metrics.render { snap with Metrics.counters = []; gauge_maxima = [] })
+       "histogram t.hist n=9 p50=4 p90=9 p99=9 max=9 sum=36\n");
+  Metrics.reset ();
+  let hs = List.assoc "t.hist" (Metrics.snapshot ()).Metrics.histograms in
+  Alcotest.(check int) "reset empties" 0 (Quantile.count hs.Metrics.quantile)
 
 let test_render_stable () =
   Metrics.enable ();
@@ -94,7 +103,7 @@ let test_disabled_is_inert () =
   let c = Metrics.counter "t.inert" in
   Metrics.Counter.incr c;
   Metrics.Gauge.observe (Metrics.gauge "t.inert.g") 5;
-  Metrics.Histogram.observe (Metrics.histogram "t.inert.h") 1.0;
+  Metrics.Histogram.observe (Metrics.histogram "t.inert.h") 1;
   Metrics.enable ();
   Metrics.Counter.add c 100;
   let snap = Metrics.snapshot () in
@@ -221,11 +230,15 @@ let test_metrics_jobs_determinism () =
   Metrics.disable ();
   Alcotest.(check bool) "counters were recorded" true
     (String.length seq > 0 && String.contains seq '\n');
+  (* the retrying baseline R records one histogram observation per run,
+     so byte-identity below covers merged histograms too *)
+  Alcotest.(check bool) "histogram rendered" true
+    (List.exists
+       (fun line -> String.starts_with ~prefix:"histogram baseline.tries_per_run n=" line)
+       (String.split_on_char '\n' seq));
   Alcotest.(check string) "aggregates identical across jobs" seq par
 
 (* ---- quantile histograms ---- *)
-
-module Quantile = Hmn_obs.Quantile
 
 let test_quantile_exact_below_precision () =
   (* values below 2^p land in unit-width buckets: every quantile of a
@@ -343,8 +356,8 @@ let test_expose_render () =
   Metrics.reset ();
   Metrics.Counter.add (Metrics.counter "t.expose/ops") 3;
   Metrics.Gauge.observe (Metrics.gauge "t.expose.depth") 12;
-  let h = Metrics.histogram ~bounds:[| 1.; 10. |] "t.expose.lat" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 2.; 20. ];
+  let h = Metrics.histogram "t.expose.lat" in
+  List.iter (Metrics.Histogram.observe h) [ 1; 2; 20 ];
   let text = Expose.render ~namespace:"tt" (Metrics.snapshot ()) in
   Metrics.disable ();
   let has needle =
@@ -362,11 +375,13 @@ let test_expose_render () =
       "# TYPE tt_t_expose_ops_total counter";
       "tt_t_expose_ops_total 3";
       "tt_t_expose_depth_max 12";
-      "tt_t_expose_lat_bucket{le=\"1\"} 1";
-      "tt_t_expose_lat_bucket{le=\"10\"} 2";
-      "tt_t_expose_lat_bucket{le=\"+Inf\"} 3";
+      "# TYPE tt_t_expose_lat summary";
+      "tt_t_expose_lat{quantile=\"0.5\"} 2";
+      "tt_t_expose_lat{quantile=\"0.9\"} 20";
+      "tt_t_expose_lat{quantile=\"0.99\"} 20";
+      "tt_t_expose_lat{quantile=\"0.999\"} 20";
+      "tt_t_expose_lat_sum 23";
       "tt_t_expose_lat_count 3";
-      "tt_t_expose_lat_sum 22.5";
     ]
 
 let test_expose_metric_name () =
@@ -377,29 +392,17 @@ let test_expose_metric_name () =
   Alcotest.(check string) "leading digit guarded" "_9lives"
     (Expose.metric_name ~namespace:"" "9lives")
 
-let test_log_bounds () =
-  let b = Metrics.log_bounds ~lo:1e-3 ~hi:1e4 ~per_decade:3 in
-  Alcotest.(check int) "22 edges" 22 (Array.length b);
-  Alcotest.(check (float 1e-12)) "first edge" 1e-3 b.(0);
-  Alcotest.(check (float 1e-9)) "last edge" 1e4 b.(Array.length b - 1);
-  Array.iteri
-    (fun i v -> if i > 0 then
-        Alcotest.(check bool) "strictly increasing" true (v > b.(i - 1)))
-    b;
-  (* bit-identical across call sites: computed from integer exponents *)
-  Alcotest.(check bool) "deterministic" true
-    (Metrics.log_bounds ~lo:1e-3 ~hi:1e4 ~per_decade:3 = b)
-
-let test_histogram_sum_milli () =
+(* A %g-printed sum keeps 6 significant digits (1234567 -> 1.23457e+06);
+   the integer sum must export exactly. *)
+let test_expose_sum_exact () =
   Metrics.enable ();
   Metrics.reset ();
-  let h = Metrics.histogram ~bounds:[| 1. |] "t.summilli" in
-  List.iter (Metrics.Histogram.observe h) [ 0.0015; 2.5; 0.25 ];
-  let snap = Metrics.snapshot () in
-  let hs = List.assoc "t.summilli" snap.Metrics.histograms in
+  let h = Metrics.histogram "t.expose.big" in
+  List.iter (Metrics.Histogram.observe h) [ 1_000_000; 234_567 ];
+  let text = Expose.render ~namespace:"" (Metrics.snapshot ()) in
   Metrics.disable ();
-  (* 2 + 2500 + 250: each observation contributes round (v * 1000) *)
-  Alcotest.(check int) "integer milliunit sum" 2752 hs.Metrics.sum_milli
+  Alcotest.(check bool) "exact _sum line" true
+    (List.mem "t_expose_big_sum 1234567" (String.split_on_char '\n' text))
 
 (* ---- trace counters, ordering and escaping ---- *)
 
@@ -498,7 +501,7 @@ let () =
         [
           Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
           Alcotest.test_case "gauge keeps maximum" `Quick test_gauge_keeps_maximum;
-          Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
+          Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "render stable" `Quick test_render_stable;
           Alcotest.test_case "disabled sink is inert" `Quick test_disabled_is_inert;
         ] );
@@ -526,9 +529,7 @@ let () =
         [
           Alcotest.test_case "prometheus render" `Quick test_expose_render;
           Alcotest.test_case "metric names" `Quick test_expose_metric_name;
-          Alcotest.test_case "log bounds" `Quick test_log_bounds;
-          Alcotest.test_case "histogram milli sum" `Quick
-            test_histogram_sum_milli;
+          Alcotest.test_case "summary sum is exact" `Quick test_expose_sum_exact;
         ] );
       ( "trace counters",
         [

@@ -55,7 +55,7 @@ case "${1:-}" in
 --direct)
   bad=0
   for f in $(
-    for dir in bin lib test bench; do
+    for dir in bin lib test; do
       [ -d "$dir" ] || continue
       find "$dir" \( -name _build -o -name '.*' \) -prune -o \
         \( -name '*.ml' -o -name '*.mli' \) -print
