@@ -205,57 +205,16 @@ let evacuate_host ?(rollback = true) t ~host =
 let rebalance ?max_moves t =
   let placement = t.mapping.Mapping.placement in
   let problem = Mapping.problem t.mapping in
-  let cluster = problem.Problem.cluster in
-  let hosts = Cluster.host_ids cluster in
+  let hosts = Cluster.host_ids problem.Problem.cluster in
   let n_guests = Virtual_env.n_guests problem.Problem.venv in
   let max_moves = Option.value max_moves ~default:(4 * n_guests) in
+  let move ~guest ~host = Result.is_ok (move_guest t ~guest ~host) in
   let moves = ref 0 in
-  let try_round () =
-    let current = Objective.load_balance_factor placement in
-    (* Most loaded host that still has guests. *)
-    let origin = ref None in
-    Array.iter
-      (fun h ->
-        if Placement.n_guests_on placement ~host:h > 0 then begin
-          let cpu = Placement.residual_cpu placement ~host:h in
-          match !origin with
-          | Some (_, best) when best <= cpu -> ()
-          | _ -> origin := Some (h, cpu)
-        end)
-      hosts;
-    match !origin with
-    | None -> false
-    | Some (origin, _) -> (
-      match Placement.guests_on placement ~host:origin with
-      | [] -> false
-      | guests ->
-        let victim =
-          Hmn_prelude.List_ext.min_by
-            (fun g -> Migration.colocated_bandwidth placement ~guest:g)
-            guests
-        in
-        let targets =
-          List.filter (fun h -> h <> origin) (Array.to_list hosts)
-          |> Hmn_prelude.List_ext.sort_by_desc (fun h ->
-                 Placement.residual_cpu placement ~host:h)
-        in
-        let rec attempt = function
-          | [] -> false
-          | target :: rest -> (
-            match
-              Objective.load_balance_after_migration placement ~guest:victim
-                ~host:target
-            with
-            | Some lbf when lbf < current -. 1e-9 -> (
-              match move_guest t ~guest:victim ~host:target with
-              | Ok () ->
-                incr moves;
-                true
-              | Error _ -> attempt rest)
-            | _ -> attempt rest)
-        in
-        attempt targets)
+  let rec loop () =
+    if !moves < max_moves && fst (Migration.round placement ~hosts ~move) then begin
+      incr moves;
+      loop ()
+    end
   in
-  let rec loop () = if !moves < max_moves && try_round () then loop () in
   loop ();
   !moves

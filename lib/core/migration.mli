@@ -11,6 +11,14 @@
       move that strictly improves the load-balance factor (Eq. 10) and
       fits.
 
+    The scan ends early at the first target from which no move can
+    lower the LBF: the move's exact variance change, 2v(a - b + v)/n
+    for a guest of [v] MIPS leaving residual [a] for residual [b],
+    only grows as [b] falls, and once it exceeds the stddev's rounding
+    error no later target can pass. Targets before that point get the
+    exact {!Hmn_mapping.Objective.load_balance_after_migration} check,
+    so the moves are those of the full scan.
+
     Rounds repeat while a move happened; when no move from the most
     loaded host improves the objective, the stage ends. The LBF is
     strictly decreasing across moves, which bounds the loop; an
@@ -25,7 +33,22 @@ type stats = {
 
 val run : ?max_moves:int -> Hmn_mapping.Placement.t -> stats
 (** Mutates the placement in place. Never fails: zero moves is a valid
-    outcome. *)
+    outcome. With metrics enabled it adds the exact LBF evaluations
+    made to [migration.moves_tried] (targets past the early end are
+    not evaluated, so not counted) and the moves to
+    [migration.moves_accepted]. *)
+
+val round :
+  Hmn_mapping.Placement.t ->
+  hosts:int array ->
+  move:(guest:int -> host:int -> bool) ->
+  bool * int
+(** One round of the stage over [hosts] (the cluster's host ids): pick
+    the origin and its victim, scan the targets, and call [move] on
+    each target whose move would strictly lower the LBF until one
+    returns [true] (the move was made). Returns whether a move was
+    made and the number of exact LBF evaluations. {!run} and
+    {!Incremental.rebalance} share it, each with its own [move]. *)
 
 val colocated_bandwidth : Hmn_mapping.Placement.t -> guest:int -> float
 (** Sum of virtual-link bandwidth from [guest] to guests on the same

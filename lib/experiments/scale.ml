@@ -149,7 +149,7 @@ let render_summary r =
 
 (* Deterministic like the summary: search-effort counters only, no wall
    time. CI pins these for the 432-host fixture — any drift means the
-   engine no longer searches label for label like the reference. *)
+   engine's search order or pruning changed. *)
 let render_routing_counters r =
   match r.report.Hmn.networking_stats with
   | None -> ""

@@ -71,7 +71,7 @@ val render_routing_counters : result -> string
 (** One byte-deterministic line of Networking search-effort counters
     (labels expanded/generated, fast-path hits); empty when the mapping
     failed before Networking. CI pins this for a fixture to catch any
-    drift in the engine's label-for-label equivalence. *)
+    drift in the engine's search order or pruning. *)
 
 val render_timings : result -> string
 (** Wall-clock per stage; print to stderr, never into diffed output. *)

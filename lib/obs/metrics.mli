@@ -18,8 +18,7 @@
     integer sums for counters and histogram sums, maxima for gauges,
     {!Quantile.merge_into} for histogram buckets —
     so the merged aggregate is {e byte-identical} no matter how many
-    domains the work was spread over (the same discipline as
-    [Running.merge] in the experiment sweep).
+    domains the work was spread over.
 
     Thread-safety: a handle must only be updated by the domain that
     created it; {!snapshot} and {!reset} must be called while no other

@@ -115,6 +115,7 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
   let pruned_bandwidth = ref 0
   and pruned_latency = ref 0
   and pruned_dominated = ref 0
+  and pruned_dead_end = ref 0
   and heap_max = ref 0 in
   let push id =
     incr generated;
@@ -145,7 +146,14 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     and p_hops = ctx.Route_ctx.hops.(p) in
     for k = offsets.(u) to offsets.(u + 1) - 1 do
       let neighbor = neighbors.(k) in
-      if not (Route_ctx.on_path ctx p neighbor) then begin
+      (* Dead end: a degree-1 neighbor's only arc leads back to [u],
+         which is on the label's path, so its label could never be
+         expanded into a child nor be the goal. Skipping it is one
+         offsets subtraction and saves a label per leaf host on
+         Clos and fat-tree fabrics. *)
+      if neighbor <> dst && offsets.(neighbor + 1) - offsets.(neighbor) = 1 then
+        incr pruned_dead_end
+      else if not (Route_ctx.on_path ctx p neighbor) then begin
         let eid = edge_ids.(k) in
         let avail = avails.(eid) in
         let acc_latency = p_lat +. latencies.(eid) in
@@ -193,6 +201,7 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     Metrics.Counter.add (Metrics.counter "astar.pruned_bandwidth") !pruned_bandwidth;
     Metrics.Counter.add (Metrics.counter "astar.pruned_latency") !pruned_latency;
     Metrics.Counter.add (Metrics.counter "astar.pruned_dominated") !pruned_dominated;
+    Metrics.Counter.add (Metrics.counter "astar.pruned_dead_end") !pruned_dead_end;
     Metrics.Gauge.observe (Metrics.gauge "astar.heap_max") !heap_max;
     Metrics.Counter.incr
       (Metrics.counter

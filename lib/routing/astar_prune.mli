@@ -27,7 +27,12 @@
     spell the whole route, the only simple path needs no search: it is
     returned if it passes the exact checks the search would apply to
     it, and otherwise no path exists. Such routes report [stats] of
-    zero. *)
+    zero.
+
+    {b Dead ends.} The search never generates a label at a node other
+    than [dst] whose degree is 1: its only arc returns to the parent,
+    so such a label could have no children. Leaf hosts of Clos and
+    fat-tree fabrics are such nodes. *)
 
 type stats = {
   expanded : int;  (** paths popped from the open set *)
@@ -52,10 +57,14 @@ val route :
     [ctx] is an optional reusable {!Route_ctx.t}: passing one lets
     consecutive calls share the label arena, heap and Pareto pools
     instead of allocating per call. Omitting it allocates a fresh
-    context — same results, no reuse. The engine returns the same
-    path as the historical list-based implementation for every query;
-    for searched routes (those not taken by the fast path, see
-    {!Route_ctx.fast_path_hits}) it also reports the same [stats]. *)
+    context — same results, no reuse. On graphs with no degree-1
+    node other than the endpoints, the engine returns the same path as
+    the historical list-based implementation for every query, and for
+    searched routes (those not taken by the fast path, see
+    {!Route_ctx.fast_path_hits}) the same [stats]. Elsewhere it finds
+    a route exactly when that implementation does, with the same
+    (bottleneck width, latency, hop count) key, usually with far fewer
+    labels; only ties among equal keys may resolve differently. *)
 
 val widest_feasible :
   ?ctx:Route_ctx.t ->

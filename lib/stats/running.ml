@@ -18,26 +18,6 @@ let add t x =
 
 let count t = t.n
 
-let copy t = { n = t.n; mean = t.mean; m2 = t.m2; min = t.min; max = t.max }
-
-(* Chan et al.'s parallel-axes combination of two Welford accumulators:
-   the result summarises the concatenation of both sample streams. *)
-let merge a b =
-  if a.n = 0 then copy b
-  else if b.n = 0 then copy a
-  else begin
-    let na = float_of_int a.n and nb = float_of_int b.n in
-    let nf = na +. nb in
-    let delta = b.mean -. a.mean in
-    {
-      n = a.n + b.n;
-      mean = a.mean +. (delta *. nb /. nf);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. nf);
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-    }
-  end
-
 let require_data t name =
   if t.n = 0 then invalid_arg ("Running." ^ name ^ ": no samples")
 

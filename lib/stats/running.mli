@@ -7,18 +7,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 
-val copy : t -> t
-(** Independent snapshot of the accumulator. *)
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator summarising the concatenation of
-    the two sample streams (Chan et al.'s parallel combination of
-    Welford states). Neither argument is modified. Up to the usual
-    floating-point reassociation error, [merge a b] agrees with feeding
-    every sample of [a] then every sample of [b] into one accumulator —
-    used to combine per-domain partial statistics after a parallel
-    sweep. *)
-
 val mean : t -> float
 (** Raises [Invalid_argument] before the first sample. *)
 

@@ -690,6 +690,30 @@ let test_incremental_rebalance () =
       Alcotest.(check bool) "improved" true (after < before);
       Alcotest.(check int) "still valid" 0 (List.length (Constraints.check mapping)))
 
+let test_incremental_rebalance_matches_reference () =
+  (* One live rebalance move is the move the full-scan stage makes on
+     a copy of the same placement. *)
+  let problem = random_problem ~seed:33 ~n_guests:60 in
+  match Packing.place Packing.Consolidate problem with
+  | Error f -> Alcotest.fail f.Mapper.reason
+  | Ok placement -> (
+    match Networking.run placement with
+    | Error f -> Alcotest.fail f.Mapper.reason
+    | Ok (link_map, _) ->
+      let reference = Placement.copy placement in
+      let s0 = Reference_migration.run ~max_moves:1 reference in
+      let mapping = Hmn_mapping.Mapping.make ~placement ~link_map in
+      let t = Hmn_core.Incremental.create mapping in
+      let moves = Hmn_core.Incremental.rebalance ~max_moves:1 t in
+      Alcotest.(check int) "one move each" s0.Reference_migration.moves moves;
+      Alcotest.(check int) "made a move" 1 moves;
+      for guest = 0 to Venv.n_guests problem.Problem.venv - 1 do
+        Alcotest.(check (option int))
+          (Printf.sprintf "guest %d" guest)
+          (Placement.host_of reference ~guest)
+          (Placement.host_of placement ~guest)
+      done)
+
 let test_incremental_rejects_invalid () =
   let problem = random_problem ~seed:34 ~n_guests:10 in
   let placement = Placement.create problem in
@@ -848,6 +872,127 @@ let prop_migration_never_worsens =
         let stats = Migration.run p in
         stats.Migration.lbf_after <= stats.Migration.lbf_before +. 1e-9)
 
+(* The shared round with its exact cut against the retained full-scan
+   stage ([Reference_migration]): same final placement, same move
+   count, bit-identical final LBF. Placements are drawn three ways --
+   random, round-robin (near balanced) and piled onto a few hosts --
+   over hosts and guests whose CPU sizes come from small menus, so
+   residual CPUs tie often; roughly a third of the hosts have so
+   little memory that [fits] rejects targets mid-scan, and half the
+   runs cap [max_moves]. *)
+let migration_instance ~rng =
+  let pick xs = xs.(Hmn_rng.Rng.int rng ~bound:(Array.length xs)) in
+  let n_hosts = Hmn_rng.Rng.int_in rng ~lo:2 ~hi:12 in
+  let hosts =
+    Array.init n_hosts (fun i ->
+        host ~mips:(pick [| 1000.; 2000.; 2000.; 3000. |])
+          ~mem:(if Hmn_rng.Rng.int rng ~bound:3 = 0 then 700. else 4096.)
+          i)
+  in
+  let n_guests = Hmn_rng.Rng.int_in rng ~lo:1 ~hi:40 in
+  let guests =
+    Array.init n_guests (fun i ->
+        guest ~mips:(pick [| 0.; 100.; 200.; 250.; 500.; 333.3 |]) ~mem:300.
+          (Printf.sprintf "g%d" i))
+  in
+  let vg = Graph.create ~n:n_guests () in
+  for _ = 1 to n_guests do
+    let a = Hmn_rng.Rng.int rng ~bound:n_guests
+    and b = Hmn_rng.Rng.int rng ~bound:n_guests in
+    if a <> b then
+      ignore
+        (Graph.add_edge vg a b
+           (Vlink.make ~bandwidth_mbps:(pick [| 1.; 5.; 5.; 20. |]) ~latency_ms:40.))
+  done;
+  let cluster = Hmn_testbed.Topology.line ~hosts ~link:Link.gigabit in
+  let p =
+    Placement.create (Problem.make ~cluster ~venv:(Venv.create ~guests ~graph:vg))
+  in
+  let style = Hmn_rng.Rng.int rng ~bound:3 in
+  let piles = 1 + Hmn_rng.Rng.int rng ~bound:2 in
+  for g = 0 to n_guests - 1 do
+    let first =
+      match style with
+      | 0 -> Hmn_rng.Rng.int rng ~bound:n_hosts
+      | 1 -> g mod n_hosts
+      | _ -> Hmn_rng.Rng.int rng ~bound:(min piles n_hosts)
+    in
+    (* First host from [first] on that fits; guests that fit nowhere
+       stay unplaced. *)
+    let rec place k =
+      if k < n_hosts then
+        match Placement.assign p ~guest:g ~host:((first + k) mod n_hosts) with
+        | Ok () -> ()
+        | Error _ -> place (k + 1)
+    in
+    place 0
+  done;
+  let max_moves =
+    if Hmn_rng.Rng.bool rng then Some (Hmn_rng.Rng.int rng ~bound:6) else None
+  in
+  (p, max_moves)
+
+let prop_migration_matches_reference =
+  QCheck.Test.make ~name:"Migration with its exact cut matches the full-scan stage"
+    ~count:500 QCheck.(int_bound 999_999)
+    (fun seed ->
+      let p, max_moves = migration_instance ~rng:(Hmn_rng.Rng.create (seed + 6500)) in
+      let p0 = Placement.copy p in
+      let s0 = Reference_migration.run ?max_moves p0 in
+      let s1 = Migration.run ?max_moves p in
+      let n_guests = Venv.n_guests (Placement.problem p).Problem.venv in
+      List.for_all
+        (fun guest -> Placement.host_of p0 ~guest = Placement.host_of p ~guest)
+        (List.init n_guests Fun.id)
+      && s0.Reference_migration.moves = s1.Migration.moves
+      && Int64.equal
+           (Int64.bits_of_float s0.Reference_migration.lbf_after)
+           (Int64.bits_of_float s1.Migration.lbf_after))
+
+(* Where the cut's margin matters. With 3000 hosts and residuals of
+   2e7-1e8 MIPS the LBF is about 2.3e7, whose ulp (3.7e-9) exceeds
+   [improvement_eps]: the full scan accepts a move whenever rounding
+   puts its LBF one ulp lower, even though its exact variance change
+   2v(a - b + v)/n is slightly positive. Here one 1-MIPS guest sits
+   on host 0, whose capacity exceeds the emptiest other host's by
+   0.5 MIPS (a - b + v = 0.5), and only that host has the memory to
+   take it. A cut without margin would skip those moves (3 of the 20
+   instances); the exact cut must keep every one. *)
+let noise_instance ~rng ~n =
+  let caps = Array.init n (fun _ -> Hmn_rng.Rng.float_in rng ~lo:2e7 ~hi:1e8) in
+  let widest = ref 1 in
+  Array.iteri (fun i c -> if i > 0 && c > caps.(!widest) then widest := i) caps;
+  caps.(0) <- caps.(!widest) +. 0.5;
+  let hosts =
+    Array.init n (fun i ->
+        host ~mips:caps.(i) ~mem:(if i = 0 || i = !widest then 4096. else 100.) i)
+  in
+  let cluster = Hmn_testbed.Topology.line ~hosts ~link:Link.gigabit in
+  let venv =
+    Venv.create ~guests:[| guest ~mips:1. "g" |] ~graph:(Graph.create ~n:1 ())
+  in
+  let p = Placement.create (Problem.make ~cluster ~venv) in
+  ignore (Placement.assign p ~guest:0 ~host:0);
+  p
+
+let test_migration_cut_keeps_noise_moves () =
+  let noise_moves = ref 0 in
+  for seed = 0 to 19 do
+    let p = noise_instance ~rng:(Hmn_rng.Rng.create (seed + 7100)) ~n:3000 in
+    let p0 = Placement.copy p in
+    let s0 = Reference_migration.run ~max_moves:1 p0 in
+    let s1 = Migration.run ~max_moves:1 p in
+    noise_moves := !noise_moves + s0.Reference_migration.moves;
+    Alcotest.(check int) "moves" s0.Reference_migration.moves s1.Migration.moves;
+    Alcotest.(check (option int)) "host" (Placement.host_of p0 ~guest:0)
+      (Placement.host_of p ~guest:0);
+    Alcotest.(check bool) "lbf bits" true
+      (Int64.equal
+         (Int64.bits_of_float s0.Reference_migration.lbf_after)
+         (Int64.bits_of_float s1.Migration.lbf_after))
+  done;
+  Alcotest.(check bool) "the full scan made noise moves" true (!noise_moves > 0)
+
 (* ---- sharded Hosting properties ---- *)
 
 (* A rack-labelled leaf-spine instance sized like one "rack" of the
@@ -938,6 +1083,8 @@ let () =
             test_migration_balances_obvious_imbalance;
           Alcotest.test_case "victim choice" `Quick test_migration_victim_choice;
           Alcotest.test_case "max moves cap" `Quick test_migration_max_moves_cap;
+          Alcotest.test_case "cut keeps noise-level moves" `Quick
+            test_migration_cut_keeps_noise_moves;
         ] );
       ( "networking",
         [
@@ -994,6 +1141,8 @@ let () =
           Alcotest.test_case "evacuate without rollback" `Quick
             test_incremental_evacuate_no_rollback;
           Alcotest.test_case "rebalance" `Quick test_incremental_rebalance;
+          Alcotest.test_case "rebalance moves like the reference" `Quick
+            test_incremental_rebalance_matches_reference;
           Alcotest.test_case "rejects invalid" `Quick test_incremental_rejects_invalid;
         ] );
       ( "annealing",
@@ -1016,6 +1165,7 @@ let () =
           q prop_hmn_mappings_always_valid;
           q prop_baseline_mappings_always_valid;
           q prop_migration_never_worsens;
+          q prop_migration_matches_reference;
           q prop_hmn_within_factor_of_opt;
           q prop_incremental_random_ops_stay_valid;
         ] );

@@ -577,21 +577,37 @@ let tree_cluster ~star ~n ~rng =
   done;
   Cluster.create ~nodes:(Array.init n host) ~graph:g
 
-(* The engine's contract: every route is the old engine's route, and
-   every searched route costs the same labels. The reference
-   implementation is the retained list-based copy in [Reference_astar];
-   routes the tree fast path takes (the context's [fast_path_hits]
-   moved) report zero search effort, so only their paths are compared.
+(* The engine's contract against the retained list-based copy in
+   [Reference_astar]. The arena never generates a label at a degree-1
+   node other than [dst] (such a label has no children), so:
+   - when no node but [src] or [dst] has degree 1, the heap sees the
+     same labels in the same order: every route is the old engine's
+     route, and every searched route costs the same labels. Routes the
+     tree fast path takes (the context's [fast_path_hits] moved)
+     report zero search effort, so only their paths are compared;
+   - otherwise ties among equal-key labels may resolve differently:
+     the route exists exactly when the old one does and has the same
+     (bottleneck width, latency, hop count) key. Without the Pareto
+     cut it also costs no more generated labels (not a theorem, but
+     it held on every one of the 50,000 inputs this generator can
+     draw). With the cut on, the tie order decides which of two equal
+     labels is recorded first, and a route can cost a label or two
+     more than the old engine's (10 of the 482,590 such routes over
+     those inputs), so only the key is compared there.
    Half the bounds are drawn at exactly the latency of the route found
    under an unbounded latency, where the fast path's feasibility test
-   must round like the search does. The property churns the residual
+   must round like the search does. The Clos shape (uniform links)
+   makes equal-key ties the rule. The property churns the residual
    between queries (reserving each found path) so later queries run
    against partially drained links, and shares one context across
    every query so pool reuse itself is under test. *)
 let prop_arena_engine_bit_identical =
   QCheck.Test.make
-    ~name:"arena engine is bit-identical to the retained list engine" ~count:100
-    QCheck.(pair (int_bound 9999) (int_range 0 3))
+    ~name:
+      "arena engine is bit-identical to the retained list engine without \
+       dead ends, and key-identical with them"
+    ~count:100
+    QCheck.(pair (int_bound 9999) (int_range 0 4))
     (fun (seed, shape) ->
       let rng = Hmn_rng.Rng.create (seed + 11_000) in
       let cluster =
@@ -604,13 +620,31 @@ let prop_arena_engine_bit_identical =
             ~agg_link:(Link.make ~bandwidth_mbps:10_000. ~latency_ms:(lat ()))
             ~core_link:(Link.make ~bandwidth_mbps:10_000. ~latency_ms:(lat ()))
             ~k:4 ~rng ()
+        | 4 ->
+          let racks = 2 + Hmn_rng.Rng.int rng ~bound:4 in
+          let hosts_per_rack = 2 + Hmn_rng.Rng.int rng ~bound:5 in
+          let spines = 1 + Hmn_rng.Rng.int rng ~bound:4 in
+          Hmn_testbed.Cluster_gen.clos_cluster
+            ~link:(Link.make ~bandwidth_mbps:1000. ~latency_ms:5.)
+            ~racks ~hosts_per_rack ~spines ~rng ()
         | _ ->
           tree_cluster ~star:(shape = 3) ~n:(3 + Hmn_rng.Rng.int rng ~bound:4) ~rng
       in
-      let n = Graph.n_nodes (Cluster.graph cluster) in
+      let g = Cluster.graph cluster in
+      let n = Graph.n_nodes g in
       let residual = Residual.create cluster in
       let tables = Latency_table.create cluster in
       let ctx = Hmn_routing.Route_ctx.create () in
+      (* The search's own key: bottleneck width, latency summed left to
+         right from 0 as labels accumulate it, hop count. *)
+      let key (p : Path.t) =
+        Array.fold_left
+          (fun (w, l) e ->
+            ( Float.min w (Residual.available residual e),
+              l +. (Cluster.link cluster e).Link.latency_ms ))
+          (infinity, 0.) p.Path.edges,
+        Array.length p.Path.edges
+      in
       let ok = ref true in
       for _ = 1 to 12 do
         let src = Hmn_rng.Rng.int rng ~bound:n in
@@ -629,6 +663,11 @@ let prop_arena_engine_bit_identical =
             | None -> latency_ms
           else latency_ms
         in
+        let dead_ends =
+          List.exists
+            (fun v -> v <> src && v <> dst && Graph.degree g v = 1)
+            (List.init n Fun.id)
+        in
         let hits_before = Hmn_routing.Route_ctx.fast_path_hits ctx in
         let arena =
           Astar.route ~prune_dominated ~ctx ~residual ~latency_tables:tables ~src
@@ -638,19 +677,60 @@ let prop_arena_engine_bit_identical =
         match (reference ~latency_ms, arena) with
         | None, None -> ()
         | Some (p0, s0), Some (p1, s1) ->
-          if
-            not
-              (p0.Path.nodes = p1.Path.nodes
+          let agrees =
+            if dead_ends then
+              key p0 = key p1
+              && (prune_dominated
+                 || s1.Astar.generated <= s0.Reference_astar.generated)
+            else
+              p0.Path.nodes = p1.Path.nodes
               && p0.Path.edges = p1.Path.edges
               && ((not searched)
                  || (s0.Reference_astar.expanded = s1.Astar.expanded
-                    && s0.Reference_astar.generated = s1.Astar.generated)))
-          then ok := false;
+                    && s0.Reference_astar.generated = s1.Astar.generated))
+          in
+          if not agrees then ok := false;
           if not (Path.is_intra_host p1) then
             ignore (Residual.reserve_path residual p1 bandwidth_mbps)
         | _ -> ok := false
       done;
       !ok)
+
+let test_ctx_dead_end_leaves () =
+  (* A small Clos: hosts 0, 1 on leaf 4 and hosts 2, 3 on leaf 5, both
+     leaves wired to spines 6 and 7, all links 1 ms. Every link is
+     1000 Mbps except the destination's downlink 5-2 (100 Mbps), so
+     every 1000-wide label outranks the goal and is expanded first.
+     The old engine then also labels the leaf hosts 1 and 3, which
+     have no children; the arena must not. *)
+  let g = Graph.create ~n:8 () in
+  let mk bw = Link.make ~bandwidth_mbps:bw ~latency_ms:1. in
+  List.iter
+    (fun (u, v, bw) -> ignore (Graph.add_edge g u v (mk bw)))
+    [ (0, 4, 1000.); (1, 4, 1000.); (2, 5, 100.); (3, 5, 1000.);
+      (4, 6, 1000.); (4, 7, 1000.); (5, 6, 1000.); (5, 7, 1000.) ];
+  let nodes =
+    Array.init 8 (fun i ->
+        if i < 4 then host i else Node.switch ~name:(Printf.sprintf "s%d" i))
+  in
+  let cluster = Cluster.create ~nodes ~graph:g in
+  let residual = Residual.create cluster in
+  let tables = Latency_table.create cluster in
+  (* By hand, with the Pareto cut: labels at 0, leaf 4, spines 6 and
+     7, leaf 5 (via 6; the copy via 7 ties it and is dominated) and
+     the goal 2 -- six, none at a leaf host. The old engine adds
+     hosts 1 and 3. *)
+  match
+    ( Astar.route ~residual ~latency_tables:tables ~src:0 ~dst:2 ~bandwidth_mbps:10.
+        ~latency_ms:60. (),
+      Reference_astar.route ~residual ~latency_tables:tables ~src:0 ~dst:2
+        ~bandwidth_mbps:10. ~latency_ms:60. () )
+  with
+  | Some (p, s), Some (p0, s0) ->
+    Alcotest.(check (array int)) "same path" p0.Path.nodes p.Path.nodes;
+    Alcotest.(check int) "generated by hand" 6 s.Astar.generated;
+    Alcotest.(check int) "old engine labels both leaves" 8 s0.Reference_astar.generated
+  | _ -> Alcotest.fail "expected a route"
 
 let test_ctx_tree_fast_path () =
   (* A pure line 0-1-2-3: every route is forced, so the fast path must
@@ -857,6 +937,8 @@ let () =
         [
           Alcotest.test_case "tree fast path on a line" `Quick
             test_ctx_tree_fast_path;
+          Alcotest.test_case "no labels at dead-end leaves" `Quick
+            test_ctx_dead_end_leaves;
           Alcotest.test_case "fast path rounds like the search" `Quick
             test_ctx_fast_path_rounds_like_search;
           Alcotest.test_case "fast path meets at hub" `Quick

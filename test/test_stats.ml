@@ -79,54 +79,6 @@ let test_running_empty_and_single () =
   check_float "single mean" 5. (R.mean r);
   check_float "single sd" 0. (R.stddev r)
 
-let feed xs =
-  let r = R.create () in
-  Array.iter (R.add r) xs;
-  r
-
-let test_running_merge_matches_concat () =
-  let a = [| 3.; 1.; 4.; 1.; 5. |] and b = [| 9.; 2.; 6.; 5.; 3.; 5. |] in
-  let merged = R.merge (feed a) (feed b) in
-  let whole = feed (Array.append a b) in
-  Alcotest.(check int) "count" (R.count whole) (R.count merged);
-  check_float "mean" (R.mean whole) (R.mean merged);
-  check_float "stddev" (R.stddev whole) (R.stddev merged);
-  check_float "min" (R.min whole) (R.min merged);
-  check_float "max" (R.max whole) (R.max merged)
-
-let test_running_merge_empty () =
-  let xs = [| 2.; 7.; 1. |] in
-  let some = feed xs in
-  let from_left = R.merge (R.create ()) some in
-  let from_right = R.merge some (R.create ()) in
-  List.iter
-    (fun m ->
-      Alcotest.(check int) "count" 3 (R.count m);
-      check_float "mean" (R.mean some) (R.mean m))
-    [ from_left; from_right ];
-  Alcotest.(check int) "empty + empty" 0 (R.count (R.merge (R.create ()) (R.create ())));
-  (* merge must not alias its arguments *)
-  R.add from_left 100.;
-  Alcotest.(check int) "argument untouched" 3 (R.count some)
-
-let prop_running_merge_equals_concat =
-  QCheck.Test.make ~name:"merge(a,b) matches the concatenated stream" ~count:300
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 60) (float_range (-1000.) 1000.))
-        (list_of_size Gen.(int_range 0 60) (float_range (-1000.) 1000.)))
-    (fun (xs, ys) ->
-      let a = Array.of_list xs and b = Array.of_list ys in
-      let merged = R.merge (feed a) (feed b) in
-      let whole = feed (Array.append a b) in
-      R.count merged = R.count whole
-      && (R.count whole = 0
-         || Hmn_prelude.Float_ext.approx ~eps:1e-6 (R.mean merged) (R.mean whole)
-            && Hmn_prelude.Float_ext.approx ~eps:1e-6 (R.stddev merged)
-                 (R.stddev whole)
-            && R.min merged = R.min whole
-            && R.max merged = R.max whole))
-
 let prop_running_equals_batch =
   QCheck.Test.make ~name:"Welford matches batch statistics" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 100) (float_range (-1000.) 1000.))
@@ -176,13 +128,10 @@ let () =
         [
           Alcotest.test_case "matches batch" `Quick test_running_matches_batch;
           Alcotest.test_case "empty & single" `Quick test_running_empty_and_single;
-          Alcotest.test_case "merge matches concat" `Quick test_running_merge_matches_concat;
-          Alcotest.test_case "merge with empty" `Quick test_running_merge_empty;
         ] );
       ( "properties",
         [
           q prop_running_equals_batch;
-          q prop_running_merge_equals_concat;
           q prop_pearson_bounded;
           q prop_percentile_monotone;
         ] );
