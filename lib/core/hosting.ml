@@ -5,11 +5,17 @@ module Placement = Hmn_mapping.Placement
 module Problem = Hmn_mapping.Problem
 module Domain_pool = Hmn_prelude.Domain_pool
 module Metrics = Hmn_obs.Metrics
+module Array_ext = Hmn_prelude.Array_ext
+
+let index_of xs x =
+  match Array_ext.find_index_opt (Int.equal x) xs with
+  | Some i -> i
+  | None -> invalid_arg "Hosting.index_of"
 
 let sorted_vlinks (problem : Problem.t) =
   let venv = problem.Problem.venv in
   let links = Array.init (Virtual_env.n_vlinks venv) Fun.id in
-  Hmn_prelude.Array_ext.sort_by_desc
+  Array_ext.sort_by_desc
     (fun eid -> (Virtual_env.vlink venv eid).Hmn_vnet.Vlink.bandwidth_mbps)
     links;
   links
@@ -18,19 +24,20 @@ let run (problem : Problem.t) =
   let cluster = problem.Problem.cluster in
   let venv = problem.Problem.venv in
   let placement = Placement.create problem in
-  (* Host list in descending available-CPU order, re-sorted after every
-     assignment (hosts are few; the paper re-sorts likewise). *)
+  (* Host list in descending available-CPU order, kept sorted after
+     every assignment as the paper re-sorts it: an assignment changes
+     one host's key, so that host alone is re-sifted to where a stable
+     re-sort would put it. *)
   let hosts = Array.copy (Cluster.host_ids cluster) in
-  let resort () =
-    Hmn_prelude.Array_ext.sort_by_desc
-      (fun h -> Placement.residual_cpu placement ~host:h)
-      hosts
-  in
-  resort ();
+  let cpu h = Placement.residual_cpu placement ~host:h in
+  Array_ext.sort_by_desc cpu hosts;
+  let by_cpu_desc a b = Float.compare (cpu b) (cpu a) in
   let exception Hosting_failed of int option * string in
-  let assign guest host =
-    match Placement.assign placement ~guest ~host with
-    | Ok () -> resort ()
+  (* Assigns [guest] to the host at index [idx] of [hosts]; returns the
+     host's index after the re-sift. *)
+  let assign_at guest idx =
+    match Placement.assign placement ~guest ~host:hosts.(idx) with
+    | Ok () -> Array_ext.resift by_cpu_desc hosts idx
     | Error msg -> raise (Hosting_failed (Some guest, msg))
   in
   let first_fitting ?(from = 0) guest =
@@ -47,10 +54,7 @@ let run (problem : Problem.t) =
   in
   let assign_first_fitting ?from guest =
     match first_fitting ?from guest with
-    | Some idx ->
-      let host = hosts.(idx) in
-      assign guest host;
-      host
+    | Some idx -> ignore (assign_at guest idx)
     | None ->
       raise
         (Hosting_failed (Some guest, Printf.sprintf "no host can receive guest %d" guest))
@@ -67,9 +71,8 @@ let run (problem : Problem.t) =
     | Some _, Some _ -> ()
     | None, None ->
       if both_fit_first_host vs vd then begin
-        let host = hosts.(0) in
-        assign vs host;
-        assign vd host
+        let top = assign_at vs 0 in
+        ignore (assign_at vd top)
       end
       else begin
         (* Most CPU-intensive guest first. *)
@@ -83,21 +86,16 @@ let run (problem : Problem.t) =
               (Hosting_failed
                  (Some first, Printf.sprintf "no host can receive guest %d" first))
         in
-        let host_first = hosts.(idx) in
-        assign first host_first;
-        (* The sort may have moved hosts; scan for the second guest
-           starting just below the first guest's current position. *)
-        let pos =
-          match Hmn_prelude.Array_ext.find_index_opt (Int.equal host_first) hosts with
-          | Some p -> p
-          | None -> 0
-        in
-        ignore (assign_first_fitting ~from:(pos + 1) second)
+        (* The re-sift may have moved the host; scan for the second
+           guest starting just below the first guest's new position. *)
+        let pos = assign_at first idx in
+        assign_first_fitting ~from:(pos + 1) second
       end
     | Some host, None | None, Some host ->
       let unplaced = if Placement.is_assigned placement ~guest:vs then vd else vs in
-      if Placement.fits placement ~guest:unplaced ~host then assign unplaced host
-      else ignore (assign_first_fitting unplaced)
+      if Placement.fits placement ~guest:unplaced ~host then
+        ignore (assign_at unplaced (index_of hosts host))
+      else assign_first_fitting unplaced
   in
   try
     Array.iter
@@ -107,8 +105,7 @@ let run (problem : Problem.t) =
       (sorted_vlinks problem);
     (* Isolated guests (no incident virtual links). *)
     for guest = 0 to Virtual_env.n_guests venv - 1 do
-      if not (Placement.is_assigned placement ~guest) then
-        ignore (assign_first_fitting guest)
+      if not (Placement.is_assigned placement ~guest) then assign_first_fitting guest
     done;
     Ok placement
   with Hosting_failed (guest, reason) ->
@@ -159,18 +156,18 @@ let pack_racks (problem : Problem.t) sorted =
       racks
   in
   let order = Array.init n_racks Fun.id in
-  let resort () =
-    Hmn_prelude.Array_ext.sort_by_desc
-      (fun r -> residual.(r).Resources.mips)
-      order
-  in
-  resort ();
+  let cpu r = residual.(r).Resources.mips in
+  Array_ext.sort_by_desc cpu order;
+  let by_cpu_desc a b = Float.compare (cpu b) (cpu a) in
   let rack_of_guest = Array.make (Virtual_env.n_guests venv) (-1) in
   let exception Pack_failed in
-  let assign guest rack =
+  (* Assigns [guest] to the rack at index [idx] of [order]; returns the
+     rack's index after the re-sift. *)
+  let assign_at guest idx =
+    let rack = order.(idx) in
     rack_of_guest.(guest) <- rack;
     residual.(rack) <- Resources.sub residual.(rack) (Virtual_env.demand venv guest);
-    resort ()
+    Array_ext.resift by_cpu_desc order idx
   in
   let fits guest rack =
     Resources.fits_mem_stor
@@ -186,35 +183,22 @@ let pack_racks (problem : Problem.t) sorted =
     in
     scan 0
   in
-  let assign_first_fitting ?from guest =
-    let idx = first_fitting ?from guest in
-    let rack = order.(idx) in
-    assign guest rack;
-    rack
-  in
+  let assign_first_fitting ?from guest = assign_at guest (first_fitting ?from guest) in
   let place_link vs vd =
     match (rack_of_guest.(vs) >= 0, rack_of_guest.(vd) >= 0) with
     | true, true -> ()
     | false, false ->
-      let top = order.(0) in
       let d =
         Resources.add (Virtual_env.demand venv vs) (Virtual_env.demand venv vd)
       in
-      if Resources.fits_mem_stor ~demand:d ~avail:residual.(top) then begin
-        assign vs top;
-        assign vd top
+      if Resources.fits_mem_stor ~demand:d ~avail:residual.(order.(0)) then begin
+        let top = assign_at vs 0 in
+        ignore (assign_at vd top)
       end
       else begin
         let cpu g = (Virtual_env.demand venv g).Resources.mips in
         let first, second = if cpu vs >= cpu vd then (vs, vd) else (vd, vs) in
-        let rack_first = assign_first_fitting first in
-        let pos =
-          match
-            Hmn_prelude.Array_ext.find_index_opt (Int.equal rack_first) order
-          with
-          | Some p -> p
-          | None -> 0
-        in
+        let pos = assign_first_fitting first in
         ignore (assign_first_fitting ~from:(pos + 1) second)
       end
     | true, false | false, true ->
@@ -222,7 +206,7 @@ let pack_racks (problem : Problem.t) sorted =
         if rack_of_guest.(vs) >= 0 then (vs, vd) else (vd, vs)
       in
       let rack = rack_of_guest.(placed) in
-      if fits unplaced rack then assign unplaced rack
+      if fits unplaced rack then ignore (assign_at unplaced (index_of order rack))
       else ignore (assign_first_fitting unplaced)
   in
   match
@@ -238,35 +222,52 @@ let pack_racks (problem : Problem.t) sorted =
   | () -> Some rack_of_guest
   | exception Pack_failed -> None
 
-(* Stage B: one rack as an independent flat subproblem. Pure — fresh
-   private placement, read-only problem/sorted/rack_of_guest — so rack
+(* Stage B: one rack as an independent flat subproblem. Pure — its
+   state is rack-sized and private, the inputs read-only — so rack
    tasks fan out over the domain pool without changing the result.
-   Intra-rack virtual links are processed in the global descending-
-   bandwidth order; guests that fit no host of their rack come back as
-   leftovers instead of failing the stage. *)
-let solve_rack (problem : Problem.t) ~sorted ~rack_of_guest ~rack ~members =
+   [members] are the rack's hosts, [guests] its guests (ascending) and
+   [links] its intra-rack virtual links in the global descending-
+   bandwidth order; [slot.(g)] is guest [g]'s index in [guests]. The
+   state mirrors a [Placement] restricted to the rack: residuals by
+   member position, each guest's member position by slot (-1 when
+   unplaced), with the same feasibility test and arithmetic. Guests
+   that fit no host of their rack come back as leftovers instead of
+   failing the stage. *)
+let solve_rack (problem : Problem.t) ~members ~guests ~links ~slot =
+  let cluster = problem.Problem.cluster in
   let venv = problem.Problem.venv in
-  let placement = Placement.create problem in
-  let hosts = Array.copy members in
-  let resort () =
-    Hmn_prelude.Array_ext.sort_by_desc
-      (fun h -> Placement.residual_cpu placement ~host:h)
-      hosts
-  in
-  resort ();
+  let residual = Array.map (Cluster.capacity cluster) members in
+  let host_of = Array.make (Array.length guests) (-1) in
+  let given_up = Array.make (Array.length guests) false in
+  let hosts = Array.init (Array.length members) Fun.id in
+  let cpu m = residual.(m).Resources.mips in
+  Array_ext.sort_by_desc cpu hosts;
+  let by_cpu_desc a b = Float.compare (cpu b) (cpu a) in
   let leftovers = ref [] in
-  let given_up = Hashtbl.create 8 in
   let give_up guest =
-    if not (Hashtbl.mem given_up guest) then begin
-      Hashtbl.add given_up guest ();
+    if not given_up.(slot.(guest)) then begin
+      given_up.(slot.(guest)) <- true;
       leftovers := guest :: !leftovers
     end
   in
-  let alive guest = not (Hashtbl.mem given_up guest) in
-  let assign guest host =
-    match Placement.assign placement ~guest ~host with
-    | Ok () -> resort ()
-    | Error _ -> give_up guest
+  let alive guest = not given_up.(slot.(guest)) in
+  let placed guest = host_of.(slot.(guest)) >= 0 in
+  let fits guest m =
+    Resources.fits_mem_stor ~demand:(Virtual_env.demand venv guest) ~avail:residual.(m)
+  in
+  (* [Placement.assign] of an unplaced guest at index [idx] of
+     [hosts]; returns the host's index after the re-sift. *)
+  let assign_at guest idx =
+    let m = hosts.(idx) in
+    if not (fits guest m) then begin
+      give_up guest;
+      idx
+    end
+    else begin
+      host_of.(slot.(guest)) <- m;
+      residual.(m) <- Resources.sub residual.(m) (Virtual_env.demand venv guest);
+      Array_ext.resift by_cpu_desc hosts idx
+    end
   in
   let first_fitting ?(from = 0) guest =
     let n = Array.length hosts in
@@ -274,33 +275,26 @@ let solve_rack (problem : Problem.t) ~sorted ~rack_of_guest ~rack ~members =
       if k >= n then None
       else
         let idx = (from + k) mod n in
-        if Placement.fits placement ~guest ~host:hosts.(idx) then Some idx
-        else scan (k + 1)
+        if fits guest hosts.(idx) then Some idx else scan (k + 1)
     in
     scan 0
   in
   let ensure guest =
-    if alive guest && not (Placement.is_assigned placement ~guest) then
+    if alive guest && not (placed guest) then
       match first_fitting guest with
-      | Some idx -> assign guest hosts.(idx)
+      | Some idx -> ignore (assign_at guest idx)
       | None -> give_up guest
   in
   let place_link vs vd =
-    match
-      (Placement.host_of placement ~guest:vs, Placement.host_of placement ~guest:vd)
-    with
-    | Some _, Some _ -> ()
-    | None, None when alive vs && alive vd ->
+    match (host_of.(slot.(vs)), host_of.(slot.(vd))) with
+    | hs, hd when hs >= 0 && hd >= 0 -> ()
+    | -1, -1 when alive vs && alive vd ->
       let d =
         Resources.add (Virtual_env.demand venv vs) (Virtual_env.demand venv vd)
       in
-      let top = hosts.(0) in
-      if
-        Resources.fits_mem_stor ~demand:d
-          ~avail:(Placement.residual placement ~host:top)
-      then begin
-        assign vs top;
-        assign vd top
+      if Resources.fits_mem_stor ~demand:d ~avail:residual.(hosts.(0)) then begin
+        let top = assign_at vs 0 in
+        ignore (assign_at vd top)
       end
       else begin
         let cpu g = (Virtual_env.demand venv g).Resources.mips in
@@ -310,46 +304,51 @@ let solve_rack (problem : Problem.t) ~sorted ~rack_of_guest ~rack ~members =
           give_up first;
           ensure second
         | Some idx ->
-          let host_first = hosts.(idx) in
-          assign first host_first;
-          let pos =
-            match
-              Hmn_prelude.Array_ext.find_index_opt (Int.equal host_first) hosts
-            with
-            | Some p -> p
-            | None -> 0
-          in
+          let pos = assign_at first idx in
           (match first_fitting ~from:(pos + 1) second with
-          | Some j -> assign second hosts.(j)
+          | Some j -> ignore (assign_at second j)
           | None -> give_up second)
       end
-    | Some host, None | None, Some host ->
-      let unplaced =
-        if Placement.is_assigned placement ~guest:vs then vd else vs
-      in
-      if alive unplaced then
-        if Placement.fits placement ~guest:unplaced ~host then
-          assign unplaced host
-        else ensure unplaced
-    | None, None ->
+    | -1, -1 ->
       ensure vs;
       ensure vd
+    | hs, hd ->
+      let unplaced, m = if hs >= 0 then (vd, hs) else (vs, hd) in
+      if alive unplaced then
+        if fits unplaced m then ignore (assign_at unplaced (index_of hosts m))
+        else ensure unplaced
   in
   Array.iter
     (fun eid ->
       let vs, vd = Virtual_env.endpoints venv eid in
-      if rack_of_guest.(vs) = rack && rack_of_guest.(vd) = rack then
-        place_link vs vd)
-    sorted;
-  for guest = 0 to Virtual_env.n_guests venv - 1 do
-    if rack_of_guest.(guest) = rack then ensure guest
-  done;
+      place_link vs vd)
+    links;
+  Array.iter ensure guests;
   let assignments = ref [] in
-  Placement.iter_assigned placement (fun ~guest ~host ->
-      assignments := (guest, host) :: !assignments);
-  (* iter_assigned runs in ascending guest order, so the reversal is
-     ascending again — the canonical order the merge relies on. *)
-  (List.rev !assignments, List.sort Int.compare !leftovers)
+  for k = Array.length guests - 1 downto 0 do
+    if host_of.(k) >= 0 then
+      assignments := (guests.(k), members.(host_of.(k))) :: !assignments
+  done;
+  (* Ascending guest id — the canonical order the merge relies on. *)
+  (!assignments, List.sort Int.compare !leftovers)
+
+(* [buckets n ~key xs]: the elements of [xs] with [key x = r], in [xs]
+   order, for every [r] in [0, n); elements with a negative key are
+   dropped. *)
+let buckets n ~key xs =
+  let counts = Array.make n 0 in
+  Array.iter (fun x -> let r = key x in if r >= 0 then counts.(r) <- counts.(r) + 1) xs;
+  let out = Array.map (fun c -> Array.make c 0) counts in
+  let fill = Array.make n 0 in
+  Array.iter
+    (fun x ->
+      let r = key x in
+      if r >= 0 then begin
+        out.(r).(fill.(r)) <- x;
+        fill.(r) <- fill.(r) + 1
+      end)
+    xs;
+  out
 
 let run_sharded ?jobs (problem : Problem.t) =
   let cluster = problem.Problem.cluster in
@@ -361,8 +360,24 @@ let run_sharded ?jobs (problem : Problem.t) =
     match pack_racks problem sorted with
     | None -> run problem
     | Some rack_of_guest ->
+      let venv = problem.Problem.venv in
+      let guests =
+        buckets n_racks
+          ~key:(fun g -> rack_of_guest.(g))
+          (Array.init (Virtual_env.n_guests venv) Fun.id)
+      in
+      let slot = Array.make (Virtual_env.n_guests venv) (-1) in
+      Array.iter (Array.iteri (fun k g -> slot.(g) <- k)) guests;
+      let links =
+        buckets n_racks
+          ~key:(fun eid ->
+            let vs, vd = Virtual_env.endpoints venv eid in
+            if rack_of_guest.(vs) = rack_of_guest.(vd) then rack_of_guest.(vs) else -1)
+          sorted
+      in
       let solve rack =
-        solve_rack problem ~sorted ~rack_of_guest ~rack ~members:racks.(rack)
+        solve_rack problem ~members:racks.(rack) ~guests:guests.(rack)
+          ~links:links.(rack) ~slot
       in
       let rack_ids = Array.init n_racks Fun.id in
       let jobs =
@@ -401,24 +416,21 @@ let run_sharded ?jobs (problem : Problem.t) =
          host discipline as the flat pass. Only here can the sharded
          mode still fail. *)
       let hosts = Array.copy (Cluster.host_ids cluster) in
-      let resort () =
-        Hmn_prelude.Array_ext.sort_by_desc
-          (fun h -> Placement.residual_cpu placement ~host:h)
-          hosts
-      in
-      resort ();
+      let cpu h = Placement.residual_cpu placement ~host:h in
+      Array_ext.sort_by_desc cpu hosts;
+      let by_cpu_desc a b = Float.compare (cpu b) (cpu a) in
       let rec place_all = function
         | [] -> Ok placement
         | guest :: rest -> (
           match
-            Hmn_prelude.Array_ext.find_index_opt
+            Array_ext.find_index_opt
               (fun h -> Placement.fits placement ~guest ~host:h)
               hosts
           with
           | Some idx -> (
             match Placement.assign placement ~guest ~host:hosts.(idx) with
             | Ok () ->
-              resort ();
+              ignore (Array_ext.resift by_cpu_desc hosts idx);
               place_all rest
             | Error msg -> Error (Mapper.fail ~stage:"hosting" ~reason:msg))
           | None ->

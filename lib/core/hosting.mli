@@ -5,8 +5,10 @@
     order, and both endpoints of a link are put on the same host
     whenever they fit, so the highest-bandwidth virtual links tend to
     become intra-host (free) links. The host list is kept sorted by
-    descending available CPU and re-sorted after every assignment, as
-    in the paper.
+    descending available CPU after every assignment, as in the paper:
+    the one host an assignment changes moves to where a stable re-sort
+    of the whole list would put it, ties keeping the list's previous
+    order.
 
     Per the paper's rules, for each link [(vs, vd)]:
     - both endpoints already placed: skip;

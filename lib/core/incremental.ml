@@ -203,18 +203,8 @@ let evacuate_host ?(rollback = true) t ~host =
   | Error e -> Error e
 
 let rebalance ?max_moves t =
-  let placement = t.mapping.Mapping.placement in
   let problem = Mapping.problem t.mapping in
-  let hosts = Cluster.host_ids problem.Problem.cluster in
   let n_guests = Virtual_env.n_guests problem.Problem.venv in
   let max_moves = Option.value max_moves ~default:(4 * n_guests) in
   let move ~guest ~host = Result.is_ok (move_guest t ~guest ~host) in
-  let moves = ref 0 in
-  let rec loop () =
-    if !moves < max_moves && fst (Migration.round placement ~hosts ~move) then begin
-      incr moves;
-      loop ()
-    end
-  in
-  loop ();
-  !moves
+  fst (Migration.loop t.mapping.Mapping.placement ~max_moves ~move)

@@ -3,21 +3,22 @@
     Greedy load-balancing on top of the Hosting assignment. Each round:
 
     + pick the most loaded host (smallest residual CPU) that still has
-      guests;
+      guests, ties to the first in {!Hmn_testbed.Cluster.host_ids};
     + on it, pick the guest with the smallest total bandwidth to
       co-located guests (moving it off-host strains the network
       least);
-    + scan target hosts from least loaded upward and perform the first
-      move that strictly improves the load-balance factor (Eq. 10) and
-      fits.
+    + scan target hosts from least loaded upward (ties in
+      [host_ids] order) and perform the first move that strictly
+      improves the load-balance factor (Eq. 10) and fits.
 
     The scan ends early at the first target from which no move can
     lower the LBF: the move's exact variance change, 2v(a - b + v)/n
     for a guest of [v] MIPS leaving residual [a] for residual [b],
     only grows as [b] falls, and once it exceeds the stddev's rounding
     error no later target can pass. Targets before that point get the
-    exact {!Hmn_mapping.Objective.load_balance_after_migration} check,
-    so the moves are those of the full scan.
+    exact check, bitwise the LBF
+    {!Hmn_mapping.Objective.load_balance_after_migration} returns, so
+    the moves are those of the full scan.
 
     Rounds repeat while a move happened; when no move from the most
     loaded host improves the objective, the stage ends. The LBF is
@@ -38,17 +39,24 @@ val run : ?max_moves:int -> Hmn_mapping.Placement.t -> stats
     not evaluated, so not counted) and the moves to
     [migration.moves_accepted]. *)
 
-val round :
+val loop :
   Hmn_mapping.Placement.t ->
-  hosts:int array ->
+  max_moves:int ->
   move:(guest:int -> host:int -> bool) ->
-  bool * int
-(** One round of the stage over [hosts] (the cluster's host ids): pick
-    the origin and its victim, scan the targets, and call [move] on
-    each target whose move would strictly lower the LBF until one
-    returns [true] (the move was made). Returns whether a move was
-    made and the number of exact LBF evaluations. {!run} and
-    {!Incremental.rebalance} share it, each with its own [move]. *)
+  int * int
+(** The stage's rounds on the placement until one makes no move or
+    [max_moves] moves were made: each picks the origin and its victim,
+    scans the targets, and calls [move] on each target whose move
+    would strictly lower the LBF until one returns [true] (the move
+    was made). A [move] that returns [false] must leave every guest
+    where it was. Returns the moves made and the exact LBF evaluations.
+    {!run} and {!Incremental.rebalance} share it, each with its own
+    [move].
+
+    The loop keeps the hosts' residual CPU and their scan order across
+    rounds and re-sorts only the hosts a round changed, so a round
+    costs one stddev per evaluated target rather than a sort and
+    fresh copies of every host's residual. *)
 
 val colocated_bandwidth : Hmn_mapping.Placement.t -> guest:int -> float
 (** Sum of virtual-link bandwidth from [guest] to guests on the same

@@ -9,10 +9,13 @@ let residual_cpus placement =
 let stddev xs =
   let n = float_of_int (Array.length xs) in
   let mean = Hmn_prelude.Float_ext.sum xs /. n in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs /. n
-  in
-  sqrt var
+  (* [**] is libm's pow, whose bits differ from [d *. d] on some
+     inputs: keep it, or every pinned LBF can move. *)
+  let acc = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    acc := !acc +. ((xs.(i) -. mean) ** 2.)
+  done;
+  sqrt (!acc /. n)
 
 let load_balance_factor placement = stddev (residual_cpus placement)
 

@@ -10,6 +10,11 @@ val residual_cpus : Placement.t -> float array
 (** [rproc(c_i)] for every host, in {!Hmn_testbed.Cluster.host_ids}
     order. *)
 
+val stddev : float array -> float
+(** Population standard deviation (Kahan mean, then the sum of squared
+    deviations in array order) — Eq. (10) over any residual-CPU array.
+    [nan] on an empty array. *)
+
 val load_balance_factor : Placement.t -> float
 (** Eq. (10). Zero for a single-host cluster. *)
 

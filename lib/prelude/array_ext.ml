@@ -23,6 +23,25 @@ let sort_by key xs = Array.stable_sort (fun a b -> Float.compare (key a) (key b)
 let sort_by_desc key xs =
   Array.stable_sort (fun a b -> Float.compare (key b) (key a)) xs
 
+let resift cmp xs i =
+  let x = xs.(i) in
+  let j = ref i in
+  (* Sorts later now: past every element that sorts strictly before it,
+     ahead of its new equals. *)
+  while !j + 1 < Array.length xs && cmp xs.(!j + 1) x < 0 do
+    xs.(!j) <- xs.(!j + 1);
+    incr j
+  done;
+  (* Sorts earlier now: ahead of every element that sorts strictly
+     after it, behind its new equals. *)
+  if !j = i then
+    while !j > 0 && cmp x xs.(!j - 1) < 0 do
+      xs.(!j) <- xs.(!j - 1);
+      decr j
+    done;
+  xs.(!j) <- x;
+  !j
+
 let swap xs i j =
   let t = xs.(i) in
   xs.(i) <- xs.(j);

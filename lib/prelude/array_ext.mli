@@ -22,6 +22,18 @@ val sort_by : ('a -> float) -> 'a array -> unit
 val sort_by_desc : ('a -> float) -> 'a array -> unit
 (** [sort_by_desc key xs] sorts [xs] in place, descending by [key]. Stable. *)
 
+val resift : ('a -> 'a -> int) -> 'a array -> int -> int
+(** [resift cmp xs i] restores [Array.stable_sort cmp] order after
+    [xs.(i)] alone changed how it compares, and returns its new index.
+    [xs] must have been sorted by [cmp] before the change (so a stable
+    [sort_by_desc key] order is kept with
+    [cmp a b = Float.compare (key b) (key a)]). The element lands where
+    a fresh stable sort of the current [xs] would put it: when it now
+    sorts later, past every element that sorts strictly before it and
+    ahead of its new equals; when earlier, ahead of every element that
+    sorts strictly after it and behind its new equals; otherwise it
+    stays. Costs O(distance moved) calls of [cmp]. *)
+
 val swap : 'a array -> int -> int -> unit
 (** [swap xs i j] exchanges elements [i] and [j]. *)
 

@@ -15,13 +15,12 @@ let is_finite x = Float.is_finite x
    bits so long experiment aggregations stay accurate. *)
 let sum xs =
   let total = ref 0. and comp = ref 0. in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !total +. y in
-      comp := t -. !total -. y;
-      total := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = xs.(i) -. !comp in
+    let t = !total +. y in
+    comp := t -. !total -. y;
+    total := t
+  done;
   !total
 
 let mean xs =

@@ -95,3 +95,80 @@ let run ?max_moves placement =
   let rec loop () = if !moves < max_moves && try_round () then loop () in
   loop ();
   { moves = !moves; lbf_before; lbf_after = Objective.load_balance_factor placement }
+
+(* The shared round with its exact cut as it was before the stage kept
+   its host order and residuals across rounds: every round finds the
+   origin by a scan of all hosts, copies every residual, sorts all host
+   indices and evaluates each target with a fresh
+   [Objective.load_balance_after_migration]. Retained verbatim as the
+   oracle for the rollback property in test_core.ml, where [move] can
+   fail and roll back. Do not "improve" it either. *)
+
+module Resources = Hmn_testbed.Resources
+
+let cut_slack ~n ~current ~s =
+  let n = float_of_int n in
+  epsilon_float *. ((2. *. n *. (n +. 4.) *. current *. current) +. (16. *. s *. s))
+
+let round placement ~hosts ~move =
+  match most_loaded_host_with_guests placement hosts with
+  | None -> (false, 0)
+  | Some origin -> (
+    match pick_victim placement ~host:origin with
+    | None -> (false, 0)
+    | Some guest ->
+      let current = Objective.load_balance_factor placement in
+      let venv = (Placement.problem placement).Problem.venv in
+      let v = (Virtual_env.demand venv guest).Resources.mips in
+      let residual =
+        Array.map (fun h -> Placement.residual_cpu placement ~host:h) hosts
+      in
+      let a = Placement.residual_cpu placement ~host:origin in
+      let s = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. residual +. v in
+      (* Targets from least loaded (largest residual CPU) upward: one
+         stable sort of host indices on the precomputed keys. *)
+      let targets =
+        Array.of_list
+          (List.filter (fun i -> hosts.(i) <> origin)
+             (List.init (Array.length hosts) Fun.id))
+      in
+      Array.stable_sort (fun i j -> Float.compare residual.(j) residual.(i)) targets;
+      (* A [move] that fails and rolls back leaves the origin's and
+         the target's residuals up to two roundings each (4us in all)
+         off the keys; each failure widens the slack by the 16us^2
+         that can shift the sum of squares. *)
+      let rec scan k evaluated slack =
+        if k = Array.length targets then (false, evaluated)
+        else
+          let i = targets.(k) in
+          if 2. *. v *. (a -. residual.(i) +. v) > slack then (false, evaluated)
+          else begin
+            let host = hosts.(i) in
+            match Objective.load_balance_after_migration placement ~guest ~host with
+            | Some lbf' when lbf' < current -. improvement_eps ->
+              if move ~guest ~host then (true, evaluated + 1)
+              else
+                scan (k + 1) (evaluated + 1) (slack +. (8. *. epsilon_float *. s *. s))
+            | Some _ | None -> scan (k + 1) (evaluated + 1) slack
+          end
+      in
+      scan 0 0 (cut_slack ~n:(Array.length hosts) ~current ~s))
+
+(* The loop [Migration.run] and [Incremental.rebalance] drove [round]
+   with: rounds while one made a move, up to [max_moves] moves.
+   Returns the moves made and the exact LBF evaluations. *)
+let loop placement ~max_moves ~move =
+  let hosts = Cluster.host_ids (Placement.problem placement).Problem.cluster in
+  let moves = ref 0 and tried = ref 0 in
+  let rec go () =
+    if !moves < max_moves then begin
+      let moved, evaluated = round placement ~hosts ~move in
+      tried := !tried + evaluated;
+      if moved then begin
+        incr moves;
+        go ()
+      end
+    end
+  in
+  go ();
+  (!moves, !tried)

@@ -129,6 +129,57 @@ let test_hosting_prefers_cpu_available_host () =
     Alcotest.(check (option int)) "fat host chosen" (Some 1)
       (Placement.host_of p ~guest:0)
 
+(* The flat stage against the retained copy that re-sorts the whole
+   host list after every assignment ([Reference_hosting]): the same
+   Ok/Error, the same failing guest, the same host for every guest.
+   Hosts and guests draw CPU from small menus and a third of the
+   guests need no CPU at all, so residuals tie and assignments often
+   leave a host's key unchanged; memory is tight enough that [fits]
+   rejects hosts mid-scan and some instances fail. *)
+let hosting_instance ~rng =
+  let pick xs = xs.(Hmn_rng.Rng.int rng ~bound:(Array.length xs)) in
+  let n_hosts = Hmn_rng.Rng.int_in rng ~lo:1 ~hi:10 in
+  let hosts =
+    Array.init n_hosts (fun i ->
+        host ~mips:(pick [| 1000.; 2000.; 2000.; 3000. |])
+          ~mem:(pick [| 600.; 1200.; 4096. |]) i)
+  in
+  let n_guests = Hmn_rng.Rng.int_in rng ~lo:1 ~hi:40 in
+  let guests =
+    Array.init n_guests (fun i ->
+        guest
+          ~mips:(pick [| 0.; 0.; 0.; 100.; 200.; 250.; 500.; 333.3 |])
+          ~mem:(pick [| 100.; 300.; 300.; 500. |])
+          (Printf.sprintf "g%d" i))
+  in
+  let vg = Graph.create ~n:n_guests () in
+  for _ = 1 to n_guests + (n_guests / 2) do
+    let a = Hmn_rng.Rng.int rng ~bound:n_guests
+    and b = Hmn_rng.Rng.int rng ~bound:n_guests in
+    if a <> b then
+      ignore
+        (Graph.add_edge vg a b
+           (Vlink.make ~bandwidth_mbps:(pick [| 1.; 5.; 5.; 20. |]) ~latency_ms:40.))
+  done;
+  let cluster = Hmn_testbed.Topology.line ~hosts ~link:Link.gigabit in
+  Problem.make ~cluster ~venv:(Venv.create ~guests ~graph:vg)
+
+let prop_hosting_matches_reference =
+  QCheck.Test.make ~name:"Hosting re-sifting one host matches the full re-sort"
+    ~count:1000 QCheck.(int_bound 999_999)
+    (fun seed ->
+      let problem = hosting_instance ~rng:(Hmn_rng.Rng.create (seed + 4200)) in
+      match (Reference_hosting.run problem, Hosting.run problem) with
+      | Ok p0, Ok p1 ->
+        List.for_all
+          (fun guest -> Placement.host_of p0 ~guest = Placement.host_of p1 ~guest)
+          (List.init (Venv.n_guests problem.Problem.venv) Fun.id)
+      | Error f0, Error f1 ->
+        f0.Mapper.stage = f1.Mapper.stage
+        && f0.Mapper.reason = f1.Mapper.reason
+        && f0.Mapper.detail = f1.Mapper.detail
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* ---- Migration ---- *)
 
 let test_migration_improves_or_keeps_lbf () =
@@ -714,6 +765,48 @@ let test_incremental_rebalance_matches_reference () =
           (Placement.host_of placement ~guest)
       done)
 
+let test_incremental_rebalance_many_matches_reference () =
+  (* A whole live rebalance, re-routes that fail and roll back
+     included, makes the moves the retained per-round loop makes with
+     the same live [move] on an identical mapping. *)
+  let build () =
+    let problem = random_problem ~seed:33 ~n_guests:60 in
+    match Packing.place Packing.Consolidate problem with
+    | Error f -> Alcotest.fail f.Mapper.reason
+    | Ok placement -> (
+      match Networking.run placement with
+      | Error f -> Alcotest.fail f.Mapper.reason
+      | Ok (link_map, _) -> Hmn_mapping.Mapping.make ~placement ~link_map)
+  in
+  let m0 = build () and m1 = build () in
+  let t0 = Hmn_core.Incremental.create m0 and t1 = Hmn_core.Incremental.create m1 in
+  let p0 = m0.Hmn_mapping.Mapping.placement and p1 = m1.Hmn_mapping.Mapping.placement in
+  let n_guests = Venv.n_guests (Placement.problem p0).Problem.venv in
+  let moves0, _ =
+    Reference_migration.loop p0 ~max_moves:(4 * n_guests)
+      ~move:(fun ~guest ~host ->
+        Result.is_ok (Hmn_core.Incremental.move_guest t0 ~guest ~host))
+  in
+  let moves1 = Hmn_core.Incremental.rebalance t1 in
+  Alcotest.(check int) "moves" moves0 moves1;
+  Alcotest.(check bool) "several moves" true (moves1 > 1);
+  for guest = 0 to n_guests - 1 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "guest %d" guest)
+      (Placement.host_of p0 ~guest) (Placement.host_of p1 ~guest)
+  done;
+  for vlink = 0 to Venv.n_vlinks (Placement.problem p0).Problem.venv - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "vlink %d path" vlink)
+      true
+      (Hmn_mapping.Link_map.path_of m0.Hmn_mapping.Mapping.link_map ~vlink
+      = Hmn_mapping.Link_map.path_of m1.Hmn_mapping.Mapping.link_map ~vlink)
+  done;
+  Alcotest.(check bool) "lbf bits" true
+    (Int64.equal
+       (Int64.bits_of_float (Objective.load_balance_factor p0))
+       (Int64.bits_of_float (Objective.load_balance_factor p1)))
+
 let test_incremental_rejects_invalid () =
   let problem = random_problem ~seed:34 ~n_guests:10 in
   let placement = Placement.create problem in
@@ -949,6 +1042,83 @@ let prop_migration_matches_reference =
            (Int64.bits_of_float s0.Reference_migration.lbf_after)
            (Int64.bits_of_float s1.Migration.lbf_after))
 
+(* The rollback path. [flaky_move] fails a seeded third of the moves
+   it could make by migrating the guest there and back, which can
+   leave the origin's residual a rounding off its old bits. The
+   stage's loop keeps residuals and host order across rounds, so it
+   must keep scanning after a failure and re-read those hosts; against
+   the retained per-round loop it must give the same final placement,
+   the same moves and evaluations, and a bit-identical final LBF. Both
+   loops draw from their own copy of the seeded stream, one draw per
+   successful migrate, so they fail the same calls as long as they
+   make the same calls. *)
+let flaky_move p ~rng ~guest ~host =
+  let from = Placement.host_of_exn p ~guest in
+  match Placement.migrate p ~guest ~host with
+  | Error _ -> false
+  | Ok () when Hmn_rng.Rng.int rng ~bound:3 = 0 -> (
+    match Placement.migrate p ~guest ~host:from with
+    | Ok () -> false
+    | Error msg -> failwith ("flaky_move: " ^ msg))
+  | Ok () -> true
+
+(* Rounding decides the moves. As in [noise_instance], residuals near
+   2^26 MIPS make the LBF's ulp exceed [improvement_eps]; here the
+   roomy hosts sit within a guest's size of the origin, so a move to
+   them changes the variance by less than the LBF's rounding error and
+   passes or fails on the exact bits of every residual. The origin's
+   two fractional-MIPS guests put its residual where a rolled-back
+   a + v - v can come back an ulp off a (about one rollback in six). *)
+let noisy_migration_instance ~rng =
+  let pick xs = xs.(Hmn_rng.Rng.int rng ~bound:(Array.length xs)) in
+  let n = Hmn_rng.Rng.int_in rng ~lo:3 ~hi:8 in
+  let roomy = Hmn_rng.Rng.int_in rng ~lo:1 ~hi:(n - 1) in
+  let v0 = pick [| 0.3; 0.7; 1.1 |] and v1 = pick [| 0.3; 0.7; 1.1 |] in
+  (* The origin's residual top - v0 - v1 sits below 2^26 and
+     top - v1 at or above it: returning guest 0 crosses the binade. *)
+  let top = Hmn_rng.Rng.float_in rng ~lo:(67108864. +. v1) ~hi:(67108864. +. v0 +. v1) in
+  let hosts =
+    Array.init n (fun i ->
+        if i = 0 then host ~mips:top ~mem:4096. i
+        else if i <= roomy then
+          host ~mips:(top +. Hmn_rng.Rng.float_in rng ~lo:(-1.) ~hi:1.) ~mem:4096. i
+        else host ~mips:(Hmn_rng.Rng.float_in rng ~lo:2e7 ~hi:6e7) ~mem:100. i)
+  in
+  let guests = [| guest ~mips:v0 ~mem:300. "g0"; guest ~mips:v1 ~mem:300. "g1" |] in
+  let cluster = Hmn_testbed.Topology.line ~hosts ~link:Link.gigabit in
+  let venv = Venv.create ~guests ~graph:(Graph.create ~n:2 ()) in
+  let p = Placement.create (Problem.make ~cluster ~venv) in
+  ignore (Placement.assign p ~guest:0 ~host:0);
+  ignore (Placement.assign p ~guest:1 ~host:0);
+  (p, None)
+
+let prop_migration_rollback_matches_reference =
+  QCheck.Test.make
+    ~name:"Migration loop with failing moves matches the per-round loop" ~count:1000
+    QCheck.(int_bound 999_999)
+    (fun seed ->
+      let rng = Hmn_rng.Rng.create (seed + 8500) in
+      let p, max_moves =
+        if seed mod 2 = 0 then migration_instance ~rng else noisy_migration_instance ~rng
+      in
+      let n_guests = Venv.n_guests (Placement.problem p).Problem.venv in
+      let max_moves = Option.value max_moves ~default:(16 * n_guests) in
+      let p0 = Placement.copy p in
+      let r0 =
+        Reference_migration.loop p0 ~max_moves
+          ~move:(flaky_move p0 ~rng:(Hmn_rng.Rng.create seed))
+      in
+      let r1 =
+        Migration.loop p ~max_moves ~move:(flaky_move p ~rng:(Hmn_rng.Rng.create seed))
+      in
+      List.for_all
+        (fun guest -> Placement.host_of p0 ~guest = Placement.host_of p ~guest)
+        (List.init n_guests Fun.id)
+      && r0 = r1
+      && Int64.equal
+           (Int64.bits_of_float (Objective.load_balance_factor p0))
+           (Int64.bits_of_float (Objective.load_balance_factor p)))
+
 (* Where the cut's margin matters. With 3000 hosts and residuals of
    2e7-1e8 MIPS the LBF is about 2.3e7, whose ulp (3.7e-9) exceeds
    [improvement_eps]: the full scan accepts a move whenever rounding
@@ -1143,6 +1313,8 @@ let () =
           Alcotest.test_case "rebalance" `Quick test_incremental_rebalance;
           Alcotest.test_case "rebalance moves like the reference" `Quick
             test_incremental_rebalance_matches_reference;
+          Alcotest.test_case "full rebalance moves like the reference" `Quick
+            test_incremental_rebalance_many_matches_reference;
           Alcotest.test_case "rejects invalid" `Quick test_incremental_rejects_invalid;
         ] );
       ( "annealing",
@@ -1166,6 +1338,8 @@ let () =
           q prop_baseline_mappings_always_valid;
           q prop_migration_never_worsens;
           q prop_migration_matches_reference;
+          q prop_migration_rollback_matches_reference;
+          q prop_hosting_matches_reference;
           q prop_hmn_within_factor_of_opt;
           q prop_incremental_random_ops_stay_valid;
         ] );

@@ -390,6 +390,37 @@ let prop_sort_by_sorts =
       done;
       !ok)
 
+(* [resift] after one key change lands the element where a fresh
+   stable [sort_by_desc] puts it. Keys come from a small menu holding
+   both zeros, so ties are the common case, and the elements start in
+   a random order so that ties are not also in index order; the new
+   key may be lower, higher, equal, or the other zero. *)
+let prop_resift_matches_sort =
+  QCheck.Test.make ~name:"resift after one key change equals a fresh sort_by_desc"
+    ~count:2000
+    QCheck.(
+      triple
+        (array_of_size Gen.(int_range 1 30) (int_bound 6))
+        (pair small_nat (int_bound 6))
+        (int_bound 1_000_000))
+    (fun (keys, (at, fresh), seed) ->
+      let menu = [| -1.; -0.; 0.; 1.; 2.; 2.5; 3. |] in
+      let key = Array.map (fun k -> menu.(k)) keys in
+      let n = Array.length key in
+      let xs = Array.init n Fun.id in
+      let st = Random.State.make [| seed |] in
+      for i = n - 1 downto 1 do
+        Array_ext.swap xs i (Random.State.int st (i + 1))
+      done;
+      Array_ext.sort_by_desc (fun i -> key.(i)) xs;
+      let p = at mod n in
+      let moved = xs.(p) in
+      key.(moved) <- menu.(fresh);
+      let expected = Array.copy xs in
+      Array_ext.sort_by_desc (fun i -> key.(i)) expected;
+      let q = Array_ext.resift (fun a b -> Float.compare key.(b) key.(a)) xs p in
+      xs = expected && xs.(q) = moved)
+
 let prop_take_drop_partition =
   QCheck.Test.make ~name:"take n @ drop n = original" ~count:300
     QCheck.(pair small_nat (small_list int))
@@ -476,6 +507,7 @@ let () =
           q prop_clamp_in_range;
           q prop_sum_matches_fold;
           q prop_sort_by_sorts;
+          q prop_resift_matches_sort;
           q prop_take_drop_partition;
           q prop_group_by_preserves_elements;
           q prop_pairs_count;
