@@ -44,230 +44,344 @@ exception Parse of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Parse msg)) fmt
 
-let int_field ctx s =
+(* ---- in-place scanning ----
+
+   The shell grammar is read without splitting the text: a line is a
+   [start, stop) range of the file, a token a range of the line, and
+   only the tokens a record keeps are copied out. *)
+
+(* [iter_lines ~file text f ~at_end] calls [f line start stop] on every
+   non-empty '\n'-separated line, then [at_end line]. [line] counts
+   every line from 1; a [Parse] raised by [f] or [at_end] is re-raised
+   naming the file and [!line], which they may point at an earlier
+   line. *)
+let iter_lines ~file text f ~at_end =
+  let n = String.length text in
+  let line = ref 0 in
+  try
+    let start = ref 0 in
+    while !start < n do
+      incr line;
+      let stop =
+        match String.index_from_opt text !start '\n' with Some i -> i | None -> n
+      in
+      if stop > !start then f line !start stop;
+      start := stop + 1
+    done;
+    at_end line
+  with Parse msg -> fail "%s line %d: %s" file !line msg
+
+(* The ' '-separated tokens of one line, as ranges of [text]. *)
+type toks = {
+  text : string;
+  mutable n : int;
+  mutable starts : int array;
+  mutable stops : int array;
+}
+
+let make_toks text = { text; n = 0; starts = Array.make 16 0; stops = Array.make 16 0 }
+
+let tokenize t start stop =
+  t.n <- 0;
+  let i = ref start in
+  while !i < stop do
+    if String.unsafe_get t.text !i = ' ' then incr i
+    else begin
+      let j = ref !i in
+      while !j < stop && String.unsafe_get t.text !j <> ' ' do
+        incr j
+      done;
+      if t.n = Array.length t.starts then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        t.starts <- grow t.starts;
+        t.stops <- grow t.stops
+      end;
+      t.starts.(t.n) <- !i;
+      t.stops.(t.n) <- !j;
+      t.n <- t.n + 1;
+      i := !j
+    end
+  done
+
+let tok t k = String.sub t.text t.starts.(k) (t.stops.(k) - t.starts.(k))
+
+let rec same_from text start lit i =
+  i = String.length lit
+  || String.unsafe_get text (start + i) = String.unsafe_get lit i
+     && same_from text start lit (i + 1)
+
+(* does [text.[start ..]] begin with [lit], within [stop]? *)
+let has_prefix text start stop lit =
+  start + String.length lit <= stop && same_from text start lit 0
+
+(* first [c] in [text.[start .. stop-1]] *)
+let rec index_in text start stop c =
+  if start = stop then None
+  else if String.unsafe_get text start = c then Some start
+  else index_in text (start + 1) stop c
+
+let tok_is t k lit =
+  t.stops.(k) - t.starts.(k) = String.length lit
+  && has_prefix t.text t.starts.(k) t.stops.(k) lit
+
+let int_in ctx text start stop =
+  let s = String.sub text start (stop - start) in
   match int_of_string_opt s with
   | Some n -> n
   | None -> fail "%s: expected an integer, got %S" ctx s
 
-let float_field ctx s =
+let float_in ctx text start stop =
+  let s = String.sub text start (stop - start) in
   match float_of_string_opt s with
   | Some x -> x
   | None -> fail "%s: expected a number, got %S" ctx s
 
-(* strip a known prefix/suffix, e.g. "pe7" -> 7, "25mbit" -> "25" *)
-let strip_prefix ctx ~prefix s =
-  let np = String.length prefix and n = String.length s in
-  if n > np && String.sub s 0 np = prefix then String.sub s np (n - np)
-  else fail "%s: expected %s-prefixed token, got %S" ctx prefix s
+let int_tok ctx t k = int_in ctx t.text t.starts.(k) t.stops.(k)
 
-let strip_suffix ctx ~suffix s =
-  let ns = String.length suffix and n = String.length s in
-  if n > ns && String.sub s (n - ns) ns = suffix then String.sub s 0 (n - ns)
-  else fail "%s: expected %s-suffixed token, got %S" ctx suffix s
+(* token [k] minus a known prefix/suffix, e.g. "pe7" -> 7, "25mbit" -> 25 *)
+let int_tok_after ctx t k ~prefix =
+  let start = t.starts.(k) and stop = t.stops.(k) in
+  let np = String.length prefix in
+  if stop - start > np && has_prefix t.text start stop prefix then
+    int_in ctx t.text (start + np) stop
+  else fail "%s: expected %s-prefixed token, got %S" ctx prefix (tok t k)
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let unquote s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '\'' && s.[n - 1] = '\'' then String.sub s 1 (n - 2)
-  else s
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* "--flag value --flag value ..." -> assoc list *)
-let rec flag_pairs ctx = function
-  | [] -> []
-  | flag :: value :: rest when starts_with ~prefix:"--" flag ->
-    (String.sub flag 2 (String.length flag - 2), unquote value)
-    :: flag_pairs ctx rest
-  | tok :: _ -> fail "%s: malformed flag list at %S" ctx tok
-
-let flag ctx pairs name =
-  match List.assoc_opt name pairs with
-  | Some v -> v
-  | None -> fail "%s: missing --%s" ctx name
-
-(* "k=v k=v ..." -> assoc list *)
-let kv_pairs ctx toks =
-  List.map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i ->
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-      | None -> fail "%s: expected key=value, got %S" ctx tok)
-    toks
-
-let kv ctx pairs name =
-  match List.assoc_opt name pairs with
-  | Some v -> v
-  | None -> fail "%s: missing %s=" ctx name
-
-let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
+let float_tok_before ctx t k ~suffix =
+  let start = t.starts.(k) and stop = t.stops.(k) in
+  let ns = String.length suffix in
+  if stop - start > ns && has_prefix t.text (stop - ns) stop suffix then
+    float_in ctx t.text start (stop - ns)
+  else fail "%s: expected %s-suffixed token, got %S" ctx suffix (tok t k)
 
 (* ---- shell grammar ---- *)
 
+let launch_flags =
+  [| "guest"; "name"; "host"; "mem-mb"; "stor-gb"; "cpu-mips"; "iface"; "bridge" |]
+
 let parse_vms_shell content =
-  List.filter_map
-    (fun line ->
-      if starts_with ~prefix:"hmn_vm launch " line then begin
-        let ctx = "vms" in
-        let pairs = flag_pairs ctx (List.tl (List.tl (tokens line))) in
-        let f = flag ctx pairs in
-        Some
-          {
-            guest = int_field ctx (f "guest");
-            name = f "name";
-            host = int_field ctx (f "host");
-            mem_mb = float_field ctx (f "mem-mb");
-            stor_gb = float_field ctx (f "stor-gb");
-            cpu_mips = float_field ctx (f "cpu-mips");
-            iface = f "iface";
-            bridge = f "bridge";
-          }
-      end
-      else None)
-    (lines content)
+  let t = make_toks content in
+  let ctx = "vms" in
+  (* token index of each launch flag's value, first occurrence wins *)
+  let value = Array.make (Array.length launch_flags) (-1) in
+  let vms = ref [] in
+  iter_lines ~file:(Spec.vms_file Spec.Shell) content ~at_end:ignore (fun _ start stop ->
+      if has_prefix content start stop "hmn_vm launch " then begin
+        tokenize t start stop;
+        Array.fill value 0 (Array.length value) (-1);
+        (* "--flag value --flag value ..." after "hmn_vm launch" *)
+        let k = ref 2 in
+        while !k < t.n do
+          let fs = t.starts.(!k) and fe = t.stops.(!k) in
+          if !k + 1 < t.n && has_prefix content fs fe "--" then begin
+            Array.iteri
+              (fun i name ->
+                if
+                  value.(i) < 0
+                  && fe - fs - 2 = String.length name
+                  && has_prefix content (fs + 2) fe name
+                then value.(i) <- !k + 1)
+              launch_flags;
+            k := !k + 2
+          end
+          else fail "%s: malformed flag list at %S" ctx (tok t !k)
+        done;
+        (* a value's range, its single quotes stripped *)
+        let range i =
+          let k = value.(i) in
+          if k < 0 then fail "%s: missing --%s" ctx launch_flags.(i);
+          let a = t.starts.(k) and b = t.stops.(k) in
+          if b - a >= 2 && content.[a] = '\'' && content.[b - 1] = '\'' then
+            (a + 1, b - 1)
+          else (a, b)
+        in
+        let str i = let a, b = range i in String.sub content a (b - a) in
+        let int i = let a, b = range i in int_in ctx content a b in
+        let float i = let a, b = range i in float_in ctx content a b in
+        let guest = int 0 in
+        let name = str 1 in
+        let host = int 2 in
+        let mem_mb = float 3 in
+        let stor_gb = float 4 in
+        let cpu_mips = float 5 in
+        let iface = str 6 in
+        let bridge = str 7 in
+        vms := { guest; name; host; mem_mb; stor_gb; cpu_mips; iface; bridge } :: !vms
+      end);
+  List.rev !vms
 
 (* Partial tc class being assembled from its three lines. *)
 type partial = {
   p_minor : int;
-  mutable p_rate : float option;
+  p_rate : float;
   mutable p_delay : float option;
   mutable p_vlink : int option;
 }
 
+(* The link block being read: its header, its device name, the header's
+   line, and its classes so far, newest first. *)
+type block = {
+  link : shaped_link;
+  dev : string;
+  header_line : int;
+  mutable partials : partial list;
+}
+
 let parse_net_shell content =
-  let bridges = ref [] (* (name, ports ref) in reverse order *) in
-  let bridge_ports name =
-    match List.assoc_opt name !bridges with
-    | Some ports -> ports
-    | None ->
-      (* tenant deltas add ports to pre-existing bridges *)
-      let ports = ref [] in
-      bridges := (name, ports) :: !bridges;
-      ports
+  let t = make_toks content in
+  (* bridge name -> its ports (reversed), newest bridge of that name;
+     [order] keeps every bridge in reverse order *)
+  let by_name = Hashtbl.create 1024 in
+  let order = ref [] in
+  let add_bridge name =
+    let ports = ref [] in
+    Hashtbl.replace by_name name ports;
+    order := (name, ports) :: !order;
+    ports
   in
   let links = ref [] in
-  let current = ref None (* (shaped_link sans classes, partials rev) *) in
-  let finalize () =
+  let current = ref None in
+  (* close the current block; an incomplete class is reported at the
+     block's header line *)
+  let finalize line =
     match !current with
     | None -> ()
-    | Some (link, partials) ->
+    | Some blk ->
       let classes =
         List.rev_map
           (fun p ->
             let need what = function
               | Some v -> v
               | None ->
-                fail "net: link e%d class 1:%d missing its %s line" link.edge
+                line := blk.header_line;
+                fail "net: link e%d class 1:%d missing its %s line" blk.link.edge
                   p.p_minor what
             in
             {
               minor = p.p_minor;
-              rate_mbps = need "class" p.p_rate;
+              rate_mbps = p.p_rate;
               delay_ms = need "netem" p.p_delay;
               vlink = need "filter" p.p_vlink;
             })
-          partials
+          blk.partials
       in
-      links := { link with classes } :: !links;
+      links := { blk.link with classes } :: !links;
       current := None
   in
-  let expect_dev ctx dev =
+  (* the block token [k] names as its device *)
+  let expect_dev ctx k =
     match !current with
-    | Some (link, _) when dev = Printf.sprintf "pe%d" link.edge -> link
-    | Some (link, _) ->
-      fail "net: %s on dev %s outside its link block (current e%d)" ctx dev
-        link.edge
-    | None -> fail "net: %s on dev %s before any # link header" ctx dev
+    | Some blk when tok_is t k blk.dev -> blk
+    | Some blk ->
+      fail "net: %s on dev %s outside its link block (current e%d)" ctx (tok t k)
+        blk.link.edge
+    | None -> fail "net: %s on dev %s before any # link header" ctx (tok t k)
   in
-  let find_partial ctx minor pick =
-    match !current with
-    | None -> assert false
-    | Some (_, partials) -> (
-      match List.find_opt pick partials with
-      | Some p -> p
-      | None -> fail "net: %s for class 1:%d has no matching class" ctx minor)
+  let find_partial ctx blk minor pick =
+    match List.find_opt pick blk.partials with
+    | Some p -> p
+    | None -> fail "net: %s for class 1:%d has no matching class" ctx minor
   in
-  List.iter
-    (fun line ->
-      let toks = tokens line in
-      match toks with
-      | "ovs-vsctl" :: "add-br" :: name :: [] ->
-        bridges := (name, ref []) :: !bridges
-      | "ovs-vsctl" :: "add-port" :: br :: port :: [] ->
-        let ports = bridge_ports br in
-        ports := port :: !ports
-      | "#" :: "link" :: rest ->
-        finalize ();
-        let ctx = "net link header" in
-        (match rest with
-        | e :: kvs ->
-          let pairs = kv_pairs ctx kvs in
-          let link =
-            {
-              edge = int_field ctx (strip_prefix ctx ~prefix:"e" e);
-              u = int_field ctx (kv ctx pairs "u");
-              v = int_field ctx (kv ctx pairs "v");
-              capacity_mbps = float_field ctx (kv ctx pairs "cap-mbit");
-              link_delay_ms = float_field ctx (kv ctx pairs "delay-ms");
-              classes = [];
-            }
+  let is k lit = tok_is t k lit in
+  let header line =
+    finalize line;
+    let ctx = "net link header" in
+    if t.n < 3 then fail "%s: empty" ctx;
+    (* "k=v k=v ..." after "# link e<id>": each token's '=' position *)
+    let eq =
+      Array.init (t.n - 3) (fun i ->
+          let k = i + 3 in
+          match index_in content t.starts.(k) t.stops.(k) '=' with
+          | Some e -> e
+          | None -> fail "%s: expected key=value, got %S" ctx (tok t k))
+    in
+    (* the value range of the first [name=] *)
+    let kv name =
+      let rec find i =
+        if i = Array.length eq then fail "%s: missing %s=" ctx name
+        else
+          let a = t.starts.(i + 3) in
+          if eq.(i) - a = String.length name && has_prefix content a eq.(i) name
+          then (eq.(i) + 1, t.stops.(i + 3))
+          else find (i + 1)
+      in
+      find 0
+    in
+    let int_kv name = let a, b = kv name in int_in ctx content a b in
+    let float_kv name = let a, b = kv name in float_in ctx content a b in
+    let edge = int_tok_after ctx t 2 ~prefix:"e" in
+    let u = int_kv "u" in
+    let v = int_kv "v" in
+    let capacity_mbps = float_kv "cap-mbit" in
+    let link_delay_ms = float_kv "delay-ms" in
+    current :=
+      Some
+        {
+          link = { edge; u; v; capacity_mbps; link_delay_ms; classes = [] };
+          dev = Spec.port edge;
+          header_line = !line;
+          partials = [];
+        }
+  in
+  iter_lines ~file:(Spec.net_file Spec.Shell) content ~at_end:finalize
+    (fun line start stop ->
+      tokenize t start stop;
+      let n = t.n in
+      if n >= 3 && is 0 "ovs-vsctl" then begin
+        if n = 3 && is 1 "add-br" then ignore (add_bridge (tok t 2))
+        else if n = 4 && is 1 "add-port" then begin
+          let br = tok t 2 in
+          (* tenant deltas add ports to pre-existing bridges *)
+          let ports =
+            match Hashtbl.find_opt by_name br with
+            | Some ports -> ports
+            | None -> add_bridge br
           in
-          current := Some (link, [])
-        | [] -> fail "%s: empty" ctx)
-      | "tc" :: "qdisc" :: "add" :: "dev" :: dev :: "root" :: _ ->
-        ignore (expect_dev "root qdisc" dev)
-      | "tc" :: "class" :: "add" :: "dev" :: dev :: "parent" :: "1:"
-        :: "classid" :: classid :: "htb" :: "rate" :: rate :: _ ->
-        let ctx = "net class" in
-        ignore (expect_dev ctx dev);
-        let minor =
-          int_field ctx (strip_prefix ctx ~prefix:"1:" classid)
-        in
-        let p =
-          {
-            p_minor = minor;
-            p_rate =
-              Some (float_field ctx (strip_suffix ctx ~suffix:"mbit" rate));
-            p_delay = None;
-            p_vlink = None;
-          }
-        in
-        (match !current with
-        | Some (link, partials) -> current := Some (link, p :: partials)
-        | None -> assert false)
-      | "tc" :: "qdisc" :: "add" :: "dev" :: dev :: "parent" :: parent
-        :: "handle" :: _ :: "netem" :: "delay" :: delay :: _ ->
-        let ctx = "net netem" in
-        ignore (expect_dev ctx dev);
-        let minor = int_field ctx (strip_prefix ctx ~prefix:"1:" parent) in
-        let p =
-          find_partial ctx minor (fun p ->
-              p.p_minor = minor && p.p_delay = None)
-        in
-        p.p_delay <- Some (float_field ctx (strip_suffix ctx ~suffix:"ms" delay))
-      | "tc" :: "filter" :: "add" :: "dev" :: dev :: "parent" :: "1:"
-        :: "handle" :: handle :: "fw" :: "flowid" :: flowid :: _ ->
-        let ctx = "net filter" in
-        ignore (expect_dev ctx dev);
-        let minor = int_field ctx (strip_prefix ctx ~prefix:"1:" flowid) in
-        let p =
-          find_partial ctx minor (fun p ->
-              p.p_minor = minor && p.p_vlink = None)
-        in
-        p.p_vlink <- Some (int_field ctx handle)
-      | _ -> ())
-    (lines content);
-  finalize ();
+          ports := tok t 3 :: !ports
+        end
+      end
+      else if n >= 2 && is 0 "#" && is 1 "link" then header line
+      else if n >= 6 && is 0 "tc" && is 2 "add" && is 3 "dev" then begin
+        if is 1 "qdisc" && is 5 "root" then ignore (expect_dev "root qdisc" 4)
+        else if
+          n >= 12 && is 1 "class" && is 5 "parent" && is 6 "1:" && is 7 "classid"
+          && is 9 "htb" && is 10 "rate"
+        then begin
+          let ctx = "net class" in
+          let blk = expect_dev ctx 4 in
+          let p_minor = int_tok_after ctx t 8 ~prefix:"1:" in
+          let p_rate = float_tok_before ctx t 11 ~suffix:"mbit" in
+          blk.partials <-
+            { p_minor; p_rate; p_delay = None; p_vlink = None } :: blk.partials
+        end
+        else if
+          n >= 12 && is 1 "qdisc" && is 5 "parent" && is 7 "handle" && is 9 "netem"
+          && is 10 "delay"
+        then begin
+          let ctx = "net netem" in
+          let blk = expect_dev ctx 4 in
+          let minor = int_tok_after ctx t 6 ~prefix:"1:" in
+          let p =
+            find_partial ctx blk minor (fun p -> p.p_minor = minor && p.p_delay = None)
+          in
+          p.p_delay <- Some (float_tok_before ctx t 11 ~suffix:"ms")
+        end
+        else if
+          n >= 12 && is 1 "filter" && is 5 "parent" && is 6 "1:" && is 7 "handle"
+          && is 9 "fw" && is 10 "flowid"
+        then begin
+          let ctx = "net filter" in
+          let blk = expect_dev ctx 4 in
+          let minor = int_tok_after ctx t 11 ~prefix:"1:" in
+          let p =
+            find_partial ctx blk minor (fun p -> p.p_minor = minor && p.p_vlink = None)
+          in
+          p.p_vlink <- Some (int_tok ctx t 8)
+        end
+      end);
   let bridges =
     List.rev_map
       (fun (name, ports) -> { bridge_name = name; ports = List.rev !ports })
-      !bridges
+      !order
   in
   (bridges, List.rev !links)
 
@@ -281,13 +395,15 @@ let j_float json = result_or_parse (Json.to_float json)
 let j_str json = result_or_parse (Json.to_str json)
 let j_list json = result_or_parse (Json.to_list json)
 
-let parse_doc ctx content =
-  match Json.of_string content with
-  | Ok json -> json
-  | Error e -> fail "%s: %s" ctx e
+let parse_doc content = result_or_parse (Json.of_string content)
+
+(* A JSON file's errors name the file; the parser's own carry the
+   offset. *)
+let in_file name f = try f () with Parse msg -> fail "%s: %s" name msg
 
 let parse_vms_json content =
-  let json = parse_doc "vms.json" content in
+  in_file (Spec.vms_file Spec.Json) @@ fun () ->
+  let json = parse_doc content in
   List.concat_map
     (fun host_entry ->
       let host = j_int (j_member "host" host_entry) in
@@ -308,7 +424,8 @@ let parse_vms_json content =
     (j_list (j_member "hosts" json))
 
 let parse_net_json content =
-  let json = parse_doc "net.json" content in
+  in_file (Spec.net_file Spec.Json) @@ fun () ->
+  let json = parse_doc content in
   let bridges =
     List.map
       (fun b ->
@@ -351,18 +468,25 @@ let run ~files =
       | Some content -> content
       | None -> fail "bundle is missing %s" name
     in
-    let manifest = parse_doc Spec.manifest_file (file Spec.manifest_file) in
-    (match j_str (j_member "format" manifest) with
-    | "hmn-artifact-manifest" -> ()
-    | other -> fail "manifest: unexpected format %S" other);
-    let artifact_format =
-      result_or_parse (Spec.format_of_name (j_str (j_member "artifact_format" manifest)))
-    in
-    let scope =
-      match j_str (j_member "scope" manifest) with
-      | "full" -> Full
-      | "tenant" -> Tenant (j_int (j_member "tenant_id" manifest))
-      | other -> fail "manifest: unknown scope %S" other
+    let in_manifest f = in_file Spec.manifest_file f in
+    let manifest_text = file Spec.manifest_file in
+    let manifest, artifact_format, scope =
+      in_manifest @@ fun () ->
+      let manifest = parse_doc manifest_text in
+      (match j_str (j_member "format" manifest) with
+      | "hmn-artifact-manifest" -> ()
+      | other -> fail "unexpected format %S" other);
+      let artifact_format =
+        result_or_parse
+          (Spec.format_of_name (j_str (j_member "artifact_format" manifest)))
+      in
+      let scope =
+        match j_str (j_member "scope" manifest) with
+        | "full" -> Full
+        | "tenant" -> Tenant (j_int (j_member "tenant_id" manifest))
+        | other -> fail "unknown scope %S" other
+      in
+      (manifest, artifact_format, scope)
     in
     let vms_text = file (Spec.vms_file artifact_format) in
     let net_text = file (Spec.net_file artifact_format) in
@@ -371,6 +495,7 @@ let run ~files =
       | Spec.Shell -> (parse_vms_shell vms_text, parse_net_shell net_text)
       | Spec.Json -> (parse_vms_json vms_text, parse_net_json net_text)
     in
+    in_manifest @@ fun () ->
     let opt name =
       match Json.member name manifest with Ok j -> Some j | Error _ -> None
     in
@@ -378,7 +503,7 @@ let run ~files =
       match opt "counts" with
       | Some (Json.Obj fields) ->
         List.map (fun (k, v) -> (k, j_int v)) fields
-      | _ -> fail "manifest: missing counts"
+      | _ -> fail "missing counts"
     in
     Ok
       {

@@ -66,7 +66,11 @@ val run : files:(string * string) list -> (t, string) result
 (** [run ~files] decompiles a bundle given as [(name, content)] pairs —
     exactly the shape {!Compile} emits and {!Compile.write} puts on
     disk. The manifest names the artifact format; the vms/net files are
-    then parsed under the shell or JSON grammar of {!Spec}. *)
+    then parsed under the shell or JSON grammar of {!Spec}. Never
+    raises: unreadable input is an [Error] that names the file and, in
+    the shell grammar, the line (in the JSON grammar, the parser's byte
+    offset). The shell files are scanned in place — lines and tokens
+    are ranges of the text, and only kept values are copied. *)
 
 val read_dir : dir:string -> ((string * string) list, string) result
 (** Load the bundle files of [dir] (manifest first) for {!run}. *)

@@ -9,17 +9,10 @@ let format_of_name = function
 
 let schema_version = 1
 
-(* Mirrors Hmn_prelude.Json's number rendering so the shell and JSON
-   artifacts agree byte-for-byte on every number, and float_of_string
-   recovers the exact value (%.17g is lossless for doubles). *)
-let fmt_num x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
-
-let host_bridge i = Printf.sprintf "br-h%d" i
-let switch_bridge i = Printf.sprintf "br-s%d" i
-let port eid = Printf.sprintf "pe%d" eid
-let iface guest = Printf.sprintf "vif%d.0" guest
+let host_bridge i = "br-h" ^ string_of_int i
+let switch_bridge i = "br-s" ^ string_of_int i
+let port eid = "pe" ^ string_of_int eid
+let iface guest = "vif" ^ string_of_int guest ^ ".0"
 
 let minor_base = 16
 let minor_of_rank rank = minor_base + rank

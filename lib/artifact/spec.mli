@@ -1,6 +1,9 @@
-(** The artifact emission grammar: every name, id scheme, and number
-    format shared by the compiler ({!Compile}) and the independent
-    decompiler ({!Decompile}).
+(** The artifact emission grammar: every name and id scheme shared by
+    the compiler ({!Compile}) and the independent decompiler
+    ({!Decompile}). Every rate, delay and resource number, in both the
+    shell and the JSON grammar, is printed by
+    [Hmn_prelude.Json.number_to_string] and read back exactly by
+    [float_of_string].
 
     Centralizing the grammar here is what makes the round trip honest:
     the two sides share {e naming rules}, never rendered state. The
@@ -34,12 +37,6 @@ val format_of_name : string -> (format, string) result
 val schema_version : int
 (** Version of the emission grammar, recorded in the manifest and
     checked by {!Decompile}. *)
-
-val fmt_num : float -> string
-(** The number format of every rate, delay and resource field, in both
-    shell and JSON artifacts: integral values as ["%.0f"], everything
-    else as ["%.17g"] — identical to [Hmn_prelude.Json]'s number
-    rendering, and exact under [float_of_string] round-trip. *)
 
 val host_bridge : int -> string
 val switch_bridge : int -> string

@@ -8,11 +8,17 @@ type t =
 
 (* ---- printing ---- *)
 
+(* Escaped runs are copied around the characters that need escaping, so
+   a string with nothing to escape is added in one call. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -20,23 +26,44 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  if !start = 0 then Buffer.add_string buf s
+  else if !start < n then Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
+(* The runtime primitive behind Printf's "%g" conversions (and
+   Stdlib.string_of_float): the same bytes as Printf.sprintf "%.17g",
+   without interpreting a format at every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral values below 1e15 print as "%.0f" would: their digits, and
+   "-0" for negative zero. Everything else is "%.17g", which is
+   lossless for doubles ("nan"/"-nan" by sign, "inf", "-inf"). *)
 let number_to_string x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+    if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
+  else format_float "%.17g" x
+
+(* A newline and the indent of the first 32 levels, added as one
+   substring; deeper levels add the rest in further runs of spaces. *)
+let newline_indent = "\n" ^ String.make 64 ' '
 
 let to_string ?(pretty = false) t =
   let buf = Buffer.create 256 in
   let indent level =
     if pretty then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * level) ' ')
+      let k = 2 * level in
+      let first = min k (String.length newline_indent - 1) in
+      Buffer.add_substring buf newline_indent 0 (1 + first);
+      let rest = ref (k - first) in
+      while !rest > 0 do
+        let m = min !rest (String.length newline_indent - 1) in
+        Buffer.add_substring buf newline_indent 1 m;
+        rest := !rest - m
+      done
     end
   in
   let rec emit level = function
@@ -72,33 +99,85 @@ let to_string ?(pretty = false) t =
   emit 0 t;
   Buffer.contents buf
 
+(* ---- equality ---- *)
+
+(* Two numbers print alike exactly when they are the same double, or
+   both NaN of the same sign: "%.17g" and the integer digits are
+   injective on everything else, and 0. = -0. is told apart by sign. *)
+let num_equal (a : float) b =
+  if Float.is_nan a then Float.is_nan b && Float.sign_bit a = Float.sign_bit b
+  else a = b && Float.sign_bit a = Float.sign_bit b
+
+let rec equal a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Num x, Num y -> num_equal x y
+  | Str x, Str y -> String.equal x y
+  | Arr xs, Arr ys -> List.equal equal xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && equal v v') xs ys
+  | (Null | Bool _ | Num _ | Str _ | Arr _ | Obj _), _ -> false
+
 (* ---- parsing ---- *)
 
 exception Parse_error of int * string
+
+let max_depth = 512
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* The value of a number token [input.[start .. stop-1]]: an optional
+   '-' and at most 15 digits is exact as an int, so it skips
+   float_of_string; any other token goes through it. *)
+let rec digits_value input acc i stop =
+  if i = stop then acc
+  else
+    match String.unsafe_get input i with
+    | '0' .. '9' as c -> digits_value input ((10 * acc) + Char.code c - 48) (i + 1) stop
+    | _ -> -1
+
+let number_of_token input start stop =
+  let neg = input.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  let v =
+    if stop - first > 0 && stop - first <= 15 then digits_value input 0 first stop
+    else -1
+  in
+  if v >= 0 then Some (if neg then -.float_of_int v else float_of_int v)
+  else float_of_string_opt (String.sub input start (stop - start))
 
 let of_string input =
   let n = String.length input in
   let pos = ref 0 in
   let error msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
+  let at_end () = !pos >= n in
+  let cur () = String.unsafe_get input !pos in
   let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> error (Printf.sprintf "expected '%c', found '%c'" c d)
-    | None -> error (Printf.sprintf "expected '%c', found end of input" c)
+    if at_end () then error (Printf.sprintf "expected '%c', found end of input" c)
+    else if cur () = c then incr pos
+    else error (Printf.sprintf "expected '%c', found '%c'" c (cur ()))
   in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    let i = ref !pos in
+    while
+      !i < n
+      &&
+      match String.unsafe_get input !i with
+      | ' ' | '\t' | '\n' | '\r' -> true
+      | _ -> false
+    do
+      incr i
+    done;
+    pos := !i
   in
   let literal word value =
-    if !pos + String.length word <= n && String.sub input !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec matches i = i = len || (input.[!pos + i] = word.[i] && matches (i + 1)) in
+    if !pos + len <= n && matches 0 then begin
+      pos := !pos + len;
       value
     end
     else error ("invalid literal; expected " ^ word)
@@ -130,20 +209,19 @@ let of_string input =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* After an escape, the rest of the string goes through a buffer. *)
+  let parse_escaped buf =
     let rec go () =
-      match peek () with
-      | None -> error "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | None -> error "unterminated escape"
-        | Some c -> (
-          advance ();
-          match c with
+      if at_end () then error "unterminated string"
+      else
+        match cur () with
+        | '"' -> incr pos
+        | '\\' ->
+          incr pos;
+          if at_end () then error "unterminated escape";
+          let c = cur () in
+          incr pos;
+          (match c with
           | '"' -> Buffer.add_char buf '"'
           | '\\' -> Buffer.add_char buf '\\'
           | '/' -> Buffer.add_char buf '/'
@@ -167,40 +245,58 @@ let of_string input =
               else error "lone high surrogate"
             end
             else utf8_of_code buf code
-          | c -> error (Printf.sprintf "invalid escape '\\%c'" c)));
-        go ()
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
+          | c -> error (Printf.sprintf "invalid escape '\\%c'" c));
+          go ()
+        | c ->
+          incr pos;
+          Buffer.add_char buf c;
+          go ()
     in
     go ();
     Buffer.contents buf
   in
+  (* A string with no escape is one substring of the input. *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let i = ref start in
+    while
+      !i < n && match String.unsafe_get input !i with '"' | '\\' -> false | _ -> true
+    do
+      incr i
+    done;
+    pos := !i;
+    if at_end () then error "unterminated string"
+    else if cur () = '"' then begin
+      incr pos;
+      String.sub input start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buf input start (!pos - start);
+      parse_escaped buf
+    end
+  in
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
+    while !pos < n && is_num_char (cur ()) do
+      incr pos
     done;
-    let s = String.sub input start (!pos - start) in
-    match float_of_string_opt s with
+    match number_of_token input start !pos with
     | Some x -> x
-    | None -> error ("invalid number: " ^ s)
+    | None -> error ("invalid number: " ^ String.sub input start (!pos - start))
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '{' ->
-      advance ();
+    if at_end () then error "unexpected end of input";
+    match cur () with
+    | ('{' | '[') when depth = max_depth ->
+      error (Printf.sprintf "nesting deeper than %d" max_depth)
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if !pos < n && cur () = '}' then begin
+        incr pos;
         Obj []
       end
       else begin
@@ -209,50 +305,54 @@ let of_string input =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let value = parse_value () in
+          let value = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields ((key, value) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, value) :: acc)
-          | _ -> error "expected ',' or '}' in object"
+          if at_end () then error "expected ',' or '}' in object"
+          else
+            match cur () with
+            | ',' ->
+              incr pos;
+              fields ((key, value) :: acc)
+            | '}' ->
+              incr pos;
+              List.rev ((key, value) :: acc)
+            | _ -> error "expected ',' or '}' in object"
         in
         Obj (fields [])
       end
-    | Some '[' ->
-      advance ();
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if !pos < n && cur () = ']' then begin
+        incr pos;
         Arr []
       end
       else begin
         let rec items acc =
-          let value = parse_value () in
+          let value = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (value :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (value :: acc)
-          | _ -> error "expected ',' or ']' in array"
+          if at_end () then error "expected ',' or ']' in array"
+          else
+            match cur () with
+            | ',' ->
+              incr pos;
+              items (value :: acc)
+            | ']' ->
+              incr pos;
+              List.rev (value :: acc)
+            | _ -> error "expected ',' or ']' in array"
         in
         Arr (items [])
       end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | Some c -> error (Printf.sprintf "unexpected character '%c'" c)
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> Num (parse_number ())
+    | c -> error (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then error "trailing garbage after document";
     v

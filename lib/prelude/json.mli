@@ -18,9 +18,26 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** [pretty] (default false) adds newlines and two-space indent. *)
 
+val number_to_string : float -> string
+(** How every number is printed: an integral value below 1e15 in
+    magnitude as its digits (["%.0f"], so negative zero is ["-0"]),
+    anything else as ["%.17g"], which [float_of_string] reads back to
+    the same double. The one number format of the JSON printer, the
+    artifact grammar and the journal. *)
+
+val equal : t -> t -> bool
+(** [equal a b] holds exactly when [to_string a = to_string b]: the
+    same tree shape, keys and strings, and numbers that print alike
+    (the same double, or two NaNs of the same sign; [0.] and [-0.]
+    differ). Compares without printing. *)
+
+val max_depth : int
+(** Deepest nesting of arrays and objects {!of_string} accepts (512). *)
+
 val of_string : string -> (t, string) result
-(** Parses a complete JSON document; trailing garbage is an error. The
-    error message includes the offending position. *)
+(** Parses a complete JSON document; trailing garbage and nesting
+    deeper than {!max_depth} are errors. The error message includes the
+    offending position. *)
 
 (** {2 Construction helpers} *)
 

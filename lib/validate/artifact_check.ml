@@ -283,7 +283,7 @@ let check_view ~cluster ~venv ~host_of ~path_of ?expect_manifest
     (match embedded with
     | None -> add (Manifest_mismatch "embedded problem/venv missing")
     | Some e ->
-      if Json.to_string e <> Json.to_string canonical then
+      if not (Json.equal e canonical) then
         add
           (Manifest_mismatch
              "embedded instance differs from canonical serialization")));

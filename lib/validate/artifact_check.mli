@@ -19,11 +19,12 @@
       to the physical link's latency — so each virtual link's latency
       along its route equals the sum of its netem stages;
     - the manifest's embedded problem (or tenant virtual environment)
-      is byte-identical to a fresh canonical serialization, and its
-      schema version is the grammar's.
+      prints byte-identically to a fresh canonical serialization
+      (compared with [Hmn_prelude.Json.equal], without printing), and
+      its schema version is the grammar's.
 
     Numbers are compared {e exactly} where the emission grammar is
-    lossless (it is — see [Spec.fmt_num]); only per-link rate {e sums}
+    lossless (it is — see [Hmn_prelude.Json.number_to_string]); only per-link rate {e sums}
     get the accounting tolerance, mirroring [Validator]'s residual
     policy. Never raises. *)
 

@@ -309,6 +309,193 @@ let test_tenant_misplacement_flagged () =
         "misplacement flagged" true
         (List.mem "guest-misplaced" (labels report))
 
+(* ---- byte identity with the old compiler ---- *)
+
+(* A small mapped instance: a Clos of 10–40 hosts at 1–3 guests per
+   host, or a paper-style torus. *)
+let small_mapping (clos, size, ratio, seed) =
+  let problem =
+    if clos then
+      Hmn_experiments.Scale.problem ~shape:Hmn_experiments.Scale.Clos
+        ~hosts:(10 * (1 + (size mod 4))) ~ratio:(1 + (ratio mod 3)) ~seed
+    else
+      Fuzz.build_problem
+        { Fuzz.shape = Fuzz.Torus { rows = 2 + (size mod 3); cols = 2 + (ratio mod 3) };
+          n_guests = 8 + (seed mod 24); density = 0.2; low_level = seed mod 2 = 0 }
+        ~seed
+  in
+  match (Hmn_core.Hmn.run problem).Mapper.result with
+  | Ok m -> Some m
+  | Error _ -> None
+
+let prop_matches_reference_compiler =
+  QCheck.Test.make ~name:"bundles are byte-identical to the old compiler's" ~count:30
+    QCheck.(quad bool small_nat small_nat (int_range 1 10_000))
+    (fun case ->
+      match small_mapping case with
+      | None -> QCheck.assume_fail ()
+      | Some mapping ->
+        let _, _, _, seed = case in
+        let vmm = if seed mod 3 = 0 then Some Hmn_testbed.Vmm.none else None in
+        let cluster, venv, hosts, paths = tenant_pieces mapping in
+        List.for_all
+          (fun format ->
+            (Compile.of_mapping ?vmm ~format mapping).Compile.files
+            = Reference_compile.of_mapping ?vmm ~format mapping
+            && (Compile.of_tenant ?vmm ~format ~cluster ~venv ~id:seed ~hosts ~paths ())
+                 .Compile.files
+               = Reference_compile.of_tenant ?vmm ~format ~cluster ~venv ~id:seed ~hosts
+                   ~paths ())
+          [ Spec.Shell; Spec.Json ])
+
+(* ---- hostile input ---- *)
+
+type mutation = Truncate of int | Flip of int * int | Dup_line of int | Del_line of int
+
+let apply_mutation text = function
+  | Truncate i -> String.sub text 0 (i mod (String.length text + 1))
+  | Flip (i, x) when text <> "" ->
+    let b = Bytes.of_string text in
+    let i = i mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + (x mod 255))));
+    Bytes.to_string b
+  | Flip _ -> text
+  | Dup_line k | Del_line k as m ->
+    let lines = String.split_on_char '\n' text in
+    let k = k mod List.length lines in
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun i l ->
+              if i <> k then [ l ] else match m with Dup_line _ -> [ l; l ] | _ -> [])
+            lines))
+
+let gen_mutation =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Truncate i) nat;
+        map2 (fun i x -> Flip (i, x)) nat nat;
+        map (fun k -> Dup_line k) nat;
+        map (fun k -> Del_line k) nat;
+      ])
+
+let show_mutation = function
+  | Truncate i -> Printf.sprintf "truncate %d" i
+  | Flip (i, x) -> Printf.sprintf "flip %d %d" i x
+  | Dup_line k -> Printf.sprintf "dup line %d" k
+  | Del_line k -> Printf.sprintf "del line %d" k
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* "decompile: <file> line <n>: ..." *)
+let names_a_line file msg =
+  let prefix = "decompile: " ^ file ^ " line " in
+  starts_with ~prefix msg
+  &&
+  let n = String.length prefix in
+  let rest = String.sub msg n (String.length msg - n) in
+  match String.index_opt rest ':' with
+  | Some i -> i > 0 && int_of_string_opt (String.sub rest 0 i) <> None
+  | None -> false
+
+let prop_hostile_bundles =
+  let mapping = sample_mapping ~seed:11 ~guests:16 () in
+  let cluster, venv, hosts, paths = tenant_pieces mapping in
+  let bundles =
+    List.concat_map
+      (fun format ->
+        [
+          (Compile.of_mapping ~format mapping).Compile.files;
+          (Compile.of_tenant ~format ~cluster ~venv ~id:3 ~hosts ~paths ()).Compile.files;
+        ])
+      [ Spec.Shell; Spec.Json ]
+  in
+  QCheck.Test.make
+    ~name:"mutated bundles decompile to Ok or a located Error, never an exception"
+    ~count:1500
+    (QCheck.make
+       ~print:(fun (b, f, ms) ->
+         Printf.sprintf "bundle %d file %d: %s" b f
+           (String.concat ", " (List.map show_mutation ms)))
+       QCheck.Gen.(
+         triple (int_bound 3) (int_bound 2) (list_size (int_range 1 3) gen_mutation)))
+    (fun (b, f, ms) ->
+      let files = List.nth bundles b in
+      let name = fst (List.nth files f) in
+      let files =
+        List.map
+          (fun (n, c) ->
+            if n = name then (n, List.fold_left apply_mutation c ms) else (n, c))
+          files
+      in
+      match Decompile.run ~files with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Ok d -> (
+        (* what decompiles is judged by the checker, which must not raise
+           either *)
+        match
+          if b mod 2 = 0 then Check.check ~mapping d
+          else Check.check_tenant ~cluster ~venv ~hosts ~paths d
+        with
+        | exception e -> QCheck.Test.fail_reportf "check raised %s" (Printexc.to_string e)
+        | _ -> true)
+      | Error msg ->
+        let located =
+          if Filename.extension name = ".sh" then names_a_line name msg
+          else starts_with ~prefix:("decompile: " ^ name ^ ": ") msg
+        in
+        located || QCheck.Test.fail_reportf "unlocated error %S" msg)
+
+let test_shell_error_names_line () =
+  let b = Compile.of_mapping ~format:Spec.Shell (sample_mapping ()) in
+  let files =
+    with_file "net.sh"
+      (fun c ->
+        let lines = String.split_on_char '\n' c in
+        String.concat "\n"
+          (List.mapi
+             (fun i l ->
+               if i = 5 then "tc filter add dev pe0 parent 1: handle x fw flowid 1:16"
+               else l)
+             lines))
+      b.Compile.files
+  in
+  (match Decompile.run ~files with
+  | Ok _ -> Alcotest.fail "a filter on a device outside its block should not decompile"
+  | Error msg ->
+    Alcotest.(check bool) ("line 6 named: " ^ msg) true
+      (starts_with ~prefix:"decompile: net.sh line 6: " msg));
+  (* a class left without its filter line is reported at its block's
+     "# link" header *)
+  let lines = String.split_on_char '\n' (List.assoc "net.sh" b.Compile.files) in
+  let rec first_filter i = function
+    | l :: rest ->
+      if starts_with ~prefix:"tc filter" l then i else first_filter (i + 1) rest
+    | [] -> Alcotest.fail "no filter line"
+  in
+  let k = first_filter 0 lines in
+  let header =
+    List.fold_left max 0
+      (List.mapi
+         (fun i l -> if i < k && starts_with ~prefix:"# link" l then i + 1 else 0)
+         lines)
+  in
+  let files =
+    with_file "net.sh"
+      (fun _ -> String.concat "\n" (List.filteri (fun i _ -> i <> k) lines))
+      b.Compile.files
+  in
+  match Decompile.run ~files with
+  | Ok _ -> Alcotest.fail "a class without its filter line should not decompile"
+  | Error msg ->
+    Alcotest.(check bool) ("header line named: " ^ msg) true
+      (starts_with
+         ~prefix:(Printf.sprintf "decompile: net.sh line %d: net: link e" header)
+         msg)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "hmn_artifact"
@@ -321,6 +508,7 @@ let () =
           Alcotest.test_case "byte-deterministic" `Quick test_deterministic;
           Alcotest.test_case "disk write/read" `Quick test_write_read_dir;
           q prop_roundtrip_every_mapper;
+          q prop_matches_reference_compiler;
         ] );
       ( "corruptions",
         [
@@ -328,6 +516,9 @@ let () =
           Alcotest.test_case "dropped VM line" `Quick test_dropped_vm_line;
           Alcotest.test_case "duplicated qdisc class" `Quick test_duplicated_class;
           Alcotest.test_case "tampered schema version" `Quick test_tampered_schema;
+          Alcotest.test_case "shell error names its line" `Quick
+            test_shell_error_names_line;
+          q prop_hostile_bundles;
         ] );
       ( "tenant",
         [

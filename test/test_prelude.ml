@@ -362,6 +362,204 @@ let prop_json_parser_never_raises =
     (fun s ->
       match Json.of_string s with Ok _ | Error _ -> true)
 
+(* ---- Json printer, equality and parser against the old code ---- *)
+
+(* Numbers at the edges of the printer's two rules: signed zeros, NaNs
+   of both signs (two payloads each), the largest integers below 1e15,
+   1e15 itself, subnormals, integers at and beyond 2^53, infinities. *)
+let special_floats =
+  [
+    0.; -0.;
+    Int64.float_of_bits 0x7ff8000000000000L; Int64.float_of_bits 0xfff8000000000000L;
+    Int64.float_of_bits 0x7ff0000000000001L; Int64.float_of_bits 0xfff0000000000001L;
+    1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 1e15 +. 1.; 1e15 -. 0.5;
+    Int64.float_of_bits 1L; -.Int64.float_of_bits 1L;
+    Int64.float_of_bits 0x000fffffffffffffL; Float.min_float;
+    9007199254740992.; 9007199254740994.; -9007199254740992.; 0x1p60; 1e16; 1e300;
+    Float.max_float; Float.infinity; Float.neg_infinity;
+    0.1; 1. /. 3.; -1.5; 1.; -1.; 123456789.;
+  ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl special_floats);
+        (3, map Int64.float_of_bits ui64);
+        (2, map float_of_int (int_range (-2_000_000) 2_000_000));
+        (1, map Float.round (float_range (-2e15) 2e15));
+        (2, float);
+      ])
+
+let arb_float = QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) gen_float
+
+let prop_number_rule =
+  QCheck.Test.make ~name:"number_to_string matches the old Printf rule" ~count:5000
+    arb_float (fun x -> Json.number_to_string x = Reference_json.number_to_string x)
+
+let test_number_edges () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%h" x)
+        (Reference_json.number_to_string x) (Json.number_to_string x))
+    special_floats;
+  Alcotest.(check string) "negative zero" "-0" (Json.number_to_string (-0.));
+  Alcotest.(check string) "1e15" "1000000000000000" (Json.number_to_string 1e15)
+
+(* Trees whose leaves come from the edge numbers and from strings with
+   every byte, so escapes and \u sequences are printed and parsed. *)
+let rec gen_tree depth =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun x -> Json.Num x) gen_float;
+          map (fun s -> Json.Str s) (string_size ~gen:char (int_range 0 8));
+          map (fun s -> Json.Str s) (string_size ~gen:printable (int_range 0 8));
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          ( 1,
+            map (fun xs -> Json.Arr xs) (list_size (int_range 0 4) (gen_tree (depth - 1)))
+          );
+          ( 1,
+            map
+              (fun kvs -> Json.Obj kvs)
+              (list_size (int_range 0 4)
+                 (pair
+                    (string_size ~gen:printable (int_range 0 4))
+                    (gen_tree (depth - 1)))) );
+        ])
+
+(* A NaN of the same sign with another payload, the other zero, the
+   next double, or an edge number. *)
+let gen_twin x =
+  QCheck.Gen.(
+    let nans_like =
+      List.filter
+        (fun y -> Float.is_nan y && Float.sign_bit y = Float.sign_bit x)
+        special_floats
+    in
+    oneof
+      ([ return x; return (Float.neg x); return (Float.succ x); oneofl special_floats ]
+      @ if Float.is_nan x then [ oneofl nans_like ] else []))
+
+(* [v] with a few leaves changed, often to something that prints alike. *)
+let rec gen_perturbed v =
+  QCheck.Gen.(
+    match v with
+    | Json.Num x ->
+      frequency [ (2, return v); (1, map (fun y -> Json.Num y) (gen_twin x)) ]
+    | Json.Str s -> frequency [ (6, return v); (1, return (Json.Str (s ^ "\""))) ]
+    | Json.Bool b -> frequency [ (6, return v); (1, return (Json.Bool (not b))) ]
+    | Json.Null -> frequency [ (6, return v); (1, return (Json.Arr [])) ]
+    | Json.Arr xs -> map (fun ys -> Json.Arr ys) (flatten_l (List.map gen_perturbed xs))
+    | Json.Obj fs ->
+      map
+        (fun fs -> Json.Obj fs)
+        (flatten_l (List.map (fun (k, v) -> map (fun v -> (k, v)) (gen_perturbed v)) fs)))
+
+let print_pair (a, b) = Reference_json.to_string a ^ "  vs  " ^ Reference_json.to_string b
+
+let prop_equal_is_printed_equality =
+  QCheck.Test.make ~name:"Json.equal holds exactly when the printed texts are equal"
+    ~count:3000
+    (QCheck.make ~print:print_pair
+       QCheck.Gen.(
+         gen_tree 3 >>= fun a ->
+         frequency
+           [
+             (1, return (a, a));
+             (4, map (fun b -> (a, b)) (gen_perturbed a));
+             (1, map (fun b -> (a, b)) (gen_tree 3));
+           ]))
+    (fun (a, b) ->
+      Json.equal a b = (Reference_json.to_string a = Reference_json.to_string b)
+      && Json.equal a b = (Json.to_string a = Json.to_string b))
+
+let prop_printer_matches_old =
+  QCheck.Test.make ~name:"printer output equals the old printer's, compact and pretty"
+    ~count:1000
+    (QCheck.make ~print:Reference_json.to_string (gen_tree 3))
+    (fun v ->
+      Json.to_string v = Reference_json.to_string v
+      && Json.to_string ~pretty:true v = Reference_json.to_string ~pretty:true v)
+
+(* Texts near JSON: printed trees cut short or with a byte replaced or
+   inserted, and short strings over the grammar's characters. *)
+let gen_near_json =
+  QCheck.Gen.(
+    let chars = {|{}[]",:0123456789-+.eEtrufalsn \/u|} ^ "\t\n" in
+    let noise = oneofl (List.init (String.length chars) (String.get chars)) in
+    let damage text =
+      let n = String.length text in
+      if n = 0 then return text
+      else
+        int_range 0 (n - 1) >>= fun i ->
+        noise >>= fun c ->
+        oneofl
+          [
+            String.sub text 0 i;
+            String.sub text 0 i ^ String.make 1 c ^ String.sub text (i + 1) (n - i - 1);
+            String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i);
+            text;
+          ]
+    in
+    frequency
+      [
+        ( 4,
+          gen_tree 3 >>= fun v ->
+          bool >>= fun pretty -> damage (Reference_json.to_string ~pretty v) );
+        (2, string_size ~gen:noise (int_range 0 40));
+        (1, string_size ~gen:char (int_range 0 20));
+      ])
+
+let prop_parser_matches_old =
+  QCheck.Test.make ~name:"parser gives the old parser's values and error messages"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_near_json)
+    (fun text ->
+      match (Json.of_string text, Reference_json.of_string text) with
+      | Ok a, Ok b -> Json.equal a b
+      | Error e, Error e' -> String.equal e e'
+      | _ -> false)
+
+let test_deep_indent () =
+  (* past the 32 levels one substring of spaces covers *)
+  let rec deep k =
+    if k = 0 then Json.Obj [ ("x", Json.int 1) ] else Json.Arr [ deep (k - 1); Json.Null ]
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check string) (Printf.sprintf "depth %d" k)
+        (Reference_json.to_string ~pretty:true (deep k))
+        (Json.to_string ~pretty:true (deep k)))
+    [ 0; 31; 32; 33; 64; 65; 100 ]
+
+let test_nesting_limit () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  let deep_error = Printf.sprintf "JSON parse error at offset %d: nesting deeper than %d"
+      Json.max_depth Json.max_depth in
+  Alcotest.(check bool) "at the limit" true
+    (Result.is_ok (Json.of_string (nested Json.max_depth)));
+  Alcotest.(check (result reject string)) "limit + 1" (Error deep_error)
+    (Result.map (fun _ -> ()) (Json.of_string (nested (Json.max_depth + 1))));
+  let objects k =
+    String.concat "" (List.init k (fun _ -> {|{"a":|})) ^ "1" ^ String.make k '}'
+  in
+  Alcotest.(check bool) "objects at the limit" true
+    (Result.is_ok (Json.of_string (objects Json.max_depth)));
+  Alcotest.(check bool) "objects at limit + 1" true
+    (Result.is_error (Json.of_string (objects (Json.max_depth + 1))));
+  Alcotest.(check (result reject string)) "a million '['" (Error deep_error)
+    (Result.map (fun _ -> ()) (Json.of_string (String.make 1_000_000 '[')))
+
 (* ---- properties ---- *)
 
 let prop_clamp_in_range =
@@ -501,6 +699,13 @@ let () =
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_parser_never_raises;
+          Alcotest.test_case "number edges" `Quick test_number_edges;
+          Alcotest.test_case "deep indentation" `Quick test_deep_indent;
+          Alcotest.test_case "nesting limit" `Quick test_nesting_limit;
+          q prop_number_rule;
+          q prop_equal_is_printed_equality;
+          q prop_printer_matches_old;
+          q prop_parser_matches_old;
         ] );
       ( "properties",
         [
