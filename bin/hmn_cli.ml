@@ -112,13 +112,12 @@ let map_cmd =
       (match outcome.Hmn_core.Mapper.result with
       | Error _ -> exit 1
       | Ok mapping ->
-        (match Hmn_mapping.Constraints.check mapping with
+        (match (Hmn_validate.Validator.check mapping).violations with
         | [] -> print_endline "constraints: all of Eqs. (1)-(9) hold"
         | vs ->
           Printf.printf "constraints: %d VIOLATIONS\n" (List.length vs);
           List.iter
-            (fun v ->
-              Format.printf "  %a@." Hmn_mapping.Constraints.pp_violation v)
+            (fun v -> Format.printf "  %a@." Hmn_validate.Validator.pp_violation v)
             vs);
         print_endline (Hmn_mapping.Report.summary mapping);
         if verbose then begin
@@ -288,14 +287,14 @@ let validate_cmd =
       Printf.eprintf "cannot load %s: %s\n" file msg;
       exit 2
     | Ok mapping -> (
-      match Hmn_mapping.Constraints.check mapping with
+      match (Hmn_validate.Validator.check mapping).violations with
       | [] ->
         print_endline "valid: all of Eqs. (1)-(9) hold";
         print_endline (Hmn_mapping.Report.summary mapping)
       | vs ->
         Printf.printf "INVALID: %d violations\n" (List.length vs);
         List.iter
-          (fun v -> Format.printf "  %a@." Hmn_mapping.Constraints.pp_violation v)
+          (fun v -> Format.printf "  %a@." Hmn_validate.Validator.pp_violation v)
           vs;
         exit 1)
   in

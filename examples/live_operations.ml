@@ -10,12 +10,13 @@ module Placement = Hmn_mapping.Placement
 module Cluster = Hmn_testbed.Cluster
 
 let check mapping label =
-  match Hmn_mapping.Constraints.check mapping with
-  | [] -> Format.printf "  [ok] %s: mapping valid (LBF %.1f)@." label
+  if Hmn_validate.Validator.is_valid mapping then
+    Format.printf "  [ok] %s: mapping valid (LBF %.1f)@." label
       (Hmn_mapping.Mapping.objective mapping)
-  | vs ->
-    Format.printf "  [!!] %s: %d violations@." label (List.length vs);
+  else begin
+    Format.printf "  [!!] %s: mapping invalid@." label;
     exit 1
+  end
 
 let () =
   let rng = Hmn_rng.Rng.create 77 in
@@ -62,7 +63,7 @@ let () =
   in
 
   (* Host maintenance: drain the busiest host. *)
-  let live = Hmn_core.Incremental.create mapping in
+  let live = Hmn_online.Incremental.create mapping in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   let victim =
     Hmn_prelude.Array_ext.max_by
@@ -72,7 +73,7 @@ let () =
   Format.printf "draining host %s (%d guests)...@."
     (Cluster.node cluster victim).Hmn_testbed.Node.name
     (Placement.n_guests_on placement ~host:victim);
-  (match Hmn_core.Incremental.evacuate_host live ~host:victim with
+  (match Hmn_online.Incremental.evacuate_host live ~host:victim with
   | Ok moved -> Format.printf "  moved %d guests (links re-routed)@." moved
   | Error e -> failwith e);
   assert (Placement.n_guests_on placement ~host:victim = 0);
@@ -80,7 +81,7 @@ let () =
 
   (* The drain skewed the load; rebalance. *)
   let before = Hmn_mapping.Mapping.objective mapping in
-  let moves = Hmn_core.Incremental.rebalance live in
+  let moves = Hmn_online.Incremental.rebalance live in
   Format.printf "rebalance: %d moves, LBF %.1f -> %.1f@." moves before
     (Hmn_mapping.Mapping.objective mapping);
   check mapping "after rebalance";

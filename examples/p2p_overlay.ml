@@ -41,7 +41,7 @@ let () =
         n.Hmn_core.Networking.routed n.Hmn_core.Networking.intra_host
         n.Hmn_core.Networking.expanded
     | None -> ());
-    assert (Hmn_mapping.Constraints.is_valid mapping);
+    assert (Hmn_validate.Validator.is_valid mapping);
     Format.printf "%s@." (Hmn_mapping.Report.summary mapping);
     let sim = Hmn_emulation.Exec_sim.run mapping in
     Format.printf

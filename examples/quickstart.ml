@@ -62,5 +62,5 @@ let () =
     print_endline (Hmn_mapping.Report.summary mapping);
     (* Every mapping returned by the library satisfies Eqs. (1)-(9);
        check it explicitly anyway, as a user would. *)
-    assert (Hmn_mapping.Constraints.is_valid mapping);
+    assert (Hmn_validate.Validator.is_valid mapping);
     print_endline "constraint check: OK"

@@ -50,8 +50,8 @@ val loop :
     would strictly lower the LBF until one returns [true] (the move
     was made). A [move] that returns [false] must leave every guest
     where it was. Returns the moves made and the exact LBF evaluations.
-    {!run} and {!Incremental.rebalance} share it, each with its own
-    [move].
+    {!run} and [Hmn_online.Incremental.rebalance] share it, each with
+    its own [move].
 
     The loop keeps the hosts' residual CPU and their scan order across
     rounds and re-sorts only the hosts a round changed, so a round

@@ -3,7 +3,7 @@
 
     The input mapping must be complete and valid (every guest placed,
     every inter-host virtual link routed); run
-    {!Hmn_mapping.Constraints.check} first when in doubt. Because valid
+    [Hmn_validate.Validator.check] first when in doubt. Because valid
     mappings reserve each link's bandwidth end-to-end (Eq. 9), network
     transfers proceed at the virtual link's requested rate; what varies
     across mappings is CPU contention, path latency, and how many

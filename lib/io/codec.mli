@@ -6,7 +6,7 @@
     everything through the normal constructors (placements re-assign,
     link maps re-reserve), so a loaded mapping satisfies the same
     invariants as a computed one; a tampered file fails decoding or the
-    {!Hmn_mapping.Constraints} check rather than producing an
+    [Hmn_validate.Validator] check rather than producing an
     inconsistent value.
 
     Node, guest and edge indices in the encoding follow the in-memory

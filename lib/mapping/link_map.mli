@@ -16,7 +16,8 @@ val path_of : t -> vlink:int -> Hmn_routing.Path.t option
 val assign : t -> vlink:int -> Hmn_routing.Path.t -> (unit, string) result
 (** Reserves the virtual link's bandwidth along the path. Fails when the
     link is already mapped or capacity is lacking; the path's
-    endpoint/shape validity is the caller's (or {!Constraints}') concern. *)
+    endpoint/shape validity is the caller's (or [Hmn_validate.Validator]'s)
+    concern. *)
 
 val unassign : t -> vlink:int -> (unit, string) result
 

@@ -9,8 +9,8 @@ type t = {
 val make : placement:Placement.t -> link_map:Link_map.t -> t
 (** Raises [Invalid_argument] when the two halves were built from
     different problem instances. Completeness and feasibility are
-    checked by {!Constraints.check}, not here, so partial mappings can
-    be inspected while a heuristic is still running. *)
+    checked by [Hmn_validate.Validator.check], not here, so partial
+    mappings can be inspected while a heuristic is still running. *)
 
 val problem : t -> Problem.t
 

@@ -2,7 +2,6 @@ module Problem = Hmn_mapping.Problem
 module Placement = Hmn_mapping.Placement
 module Link_map = Hmn_mapping.Link_map
 module Mapping = Hmn_mapping.Mapping
-module Incremental = Hmn_core.Incremental
 
 type config = {
   interval_s : float;

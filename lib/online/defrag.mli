@@ -5,7 +5,7 @@
 
     Each candidate tenant is {e replayed} onto the residual cluster that
     excludes the tenant itself (guaranteed feasible: its own usage was
-    part of what was subtracted), then {!Hmn_core.Incremental.rebalance}
+    part of what was subtracted), then {!Incremental.rebalance}
     proposes one move at a time; each committed move swaps a fresh
     {!Tenant.t} into the occupancy and fires the validation hook. *)
 

@@ -51,48 +51,15 @@ let view_of_mapping (m : Mapping.t) =
   }
 
 (* Memory/storage capacity slack: pure accumulation error of summing a
-   few hundred demands — Constraints' constant is plenty. *)
+   few hundred demands. *)
 let capacity_eps = 1e-6
 
-let residual_tolerance problem =
-  Residual.tolerance
-  *. float_of_int (Virtual_env.n_vlinks problem.Problem.venv + 1)
+(* The §6.1 ledger tolerance on per-edge bandwidth sums over [n_vlinks]
+   routed links. *)
+let ledger_tolerance n_vlinks = Residual.tolerance *. float_of_int (n_vlinks + 1)
 
-(* Eq. 10 from raw demands only: residual CPU per host is the host's
-   MIPS capacity minus the summed MIPS demand of the guests the view
-   puts there; the LBF is the population standard deviation over hosts.
-   Deliberately shares no code with [Objective] or [Placement]. *)
-let derive_lbf problem host_of =
-  let cluster = problem.Problem.cluster in
-  let venv = problem.Problem.venv in
-  let n_nodes = Cluster.n_nodes cluster in
-  let demand = Array.make n_nodes 0. in
-  let complete = ref true in
-  for guest = 0 to Virtual_env.n_guests venv - 1 do
-    match host_of guest with
-    | None -> complete := false
-    | Some node ->
-      if node >= 0 && node < n_nodes && Cluster.is_host cluster node then
-        demand.(node) <-
-          demand.(node) +. (Virtual_env.demand venv guest).Resources.mips
-      else complete := false
-  done;
-  if not !complete then None
-  else begin
-    let hosts = Cluster.host_ids cluster in
-    let n = float_of_int (Array.length hosts) in
-    let rproc =
-      Array.map
-        (fun h -> (Cluster.capacity cluster h).Resources.mips -. demand.(h))
-        hosts
-    in
-    let mean = Array.fold_left ( +. ) 0. rproc /. n in
-    let var =
-      Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. rproc
-      /. n
-    in
-    Some (sqrt var)
-  end
+let residual_tolerance problem =
+  ledger_tolerance (Virtual_env.n_vlinks problem.Problem.venv)
 
 (* Walks the path against the physical graph itself: ids in range, each
    stated edge joining the consecutive node pair ([Graph.endpoints], not
@@ -146,52 +113,61 @@ let check_path_structure cluster ~vlink (p : Path.t) =
       edges;
   match !defect with Some v -> Error v | None -> Ok ()
 
-let check_view view =
-  let problem = view.problem in
-  let cluster = problem.Problem.cluster in
-  let venv = problem.Problem.venv in
-  let g = Cluster.graph cluster in
+(* Loads re-derived from raw demands alone, by node and by edge. Both
+   checks accumulate into one of these, so neither reads the producers'
+   own residual bookkeeping. *)
+type loads = {
+  mem_used : float array;
+  stor_used : float array;
+  mips_used : float array;
+  bw_used : float array;
+}
+
+let empty_loads cluster =
   let n_nodes = Cluster.n_nodes cluster in
-  let n_guests = Virtual_env.n_guests venv in
-  let n_vlinks = Virtual_env.n_vlinks venv in
-  let n_edges = Graph.n_edges g in
-  let violations = ref [] in
-  let report v = violations := v :: !violations in
-  (* Guests: assignment, host-ness, per-host memory/storage (Eqs. 1-3). *)
-  let mem_used = Array.make n_nodes 0. and stor_used = Array.make n_nodes 0. in
-  for guest = 0 to n_guests - 1 do
-    match view.host_of guest with
-    | None -> report (Unassigned_guest guest)
+  {
+    mem_used = Array.make n_nodes 0.;
+    stor_used = Array.make n_nodes 0.;
+    mips_used = Array.make n_nodes 0.;
+    bw_used = Array.make (Graph.n_edges (Cluster.graph cluster)) 0.;
+  }
+
+(* Eq. 1 per guest, summing the demands of the guests on hosts into
+   [loads]. Returns whether every guest sits on a host. *)
+let scan_guests cluster loads venv host_of report =
+  let n_nodes = Cluster.n_nodes cluster in
+  let complete = ref true in
+  for guest = 0 to Virtual_env.n_guests venv - 1 do
+    match host_of guest with
+    | None ->
+      complete := false;
+      report (Unassigned_guest guest)
     | Some node ->
-      if node < 0 || node >= n_nodes || not (Cluster.is_host cluster node) then
+      if node < 0 || node >= n_nodes || not (Cluster.is_host cluster node) then begin
+        complete := false;
         report (Guest_on_non_host { guest; node })
+      end
       else begin
         let d = Virtual_env.demand venv guest in
-        mem_used.(node) <- mem_used.(node) +. d.Resources.mem_mb;
-        stor_used.(node) <- stor_used.(node) +. d.Resources.stor_gb
+        loads.mem_used.(node) <- loads.mem_used.(node) +. d.Resources.mem_mb;
+        loads.stor_used.(node) <- loads.stor_used.(node) +. d.Resources.stor_gb;
+        loads.mips_used.(node) <- loads.mips_used.(node) +. d.Resources.mips
       end
   done;
-  Array.iter
-    (fun host ->
-      let cap = Cluster.capacity cluster host in
-      if mem_used.(host) > cap.Resources.mem_mb +. capacity_eps then
-        report
-          (Memory_exceeded
-             { host; used = mem_used.(host); capacity = cap.Resources.mem_mb });
-      if stor_used.(host) > cap.Resources.stor_gb +. capacity_eps then
-        report
-          (Storage_exceeded
-             { host; used = stor_used.(host); capacity = cap.Resources.stor_gb }))
-    (Cluster.host_ids cluster);
-  (* Virtual links: structural path checks (Eqs. 4-7), latency (Eq. 8),
-     and per-edge bandwidth accumulation for Eq. 9. *)
-  let bw_used = Array.make n_edges 0. in
-  for vlink = 0 to n_vlinks - 1 do
+  !complete
+
+(* Eqs. 4-8 per virtual link, adding each sound path's bandwidth to
+   [loads] for Eq. 9. A path must run from the host of the link's first
+   endpoint to the host of its second (Eqs. 4-5); a reversed path is
+   flagged but still joins the two hosts, so its latency and bandwidth
+   count as for a correctly oriented one. *)
+let scan_vlinks cluster loads venv host_of path_of report =
+  for vlink = 0 to Virtual_env.n_vlinks venv - 1 do
     let vs, vd = Virtual_env.endpoints venv vlink in
-    match (view.host_of vs, view.host_of vd) with
+    match (host_of vs, host_of vd) with
     | None, _ | _, None -> ()  (* already reported as Unassigned_guest *)
     | Some hs, Some hd -> (
-      match view.path_of vlink with
+      match path_of vlink with
       | None -> if hs <> hd then report (Unmapped_vlink vlink)
       | Some p -> (
         match check_path_structure cluster ~vlink p with
@@ -199,18 +175,19 @@ let check_view view =
         | Ok () ->
           let nodes = p.Path.nodes in
           let first = nodes.(0) and last = nodes.(Array.length nodes - 1) in
-          (* The demand is undirected: either orientation serves it. *)
-          if not ((first = hs && last = hd) || (first = hd && last = hs)) then
+          let forward = first = hs && last = hd in
+          if not forward then
             report
               (Endpoint_mismatch
                  {
                    vlink;
                    reason =
                      Printf.sprintf
-                       "path runs %d..%d but the guests are placed on %d and %d"
-                       first last hs hd;
-                 })
-          else begin
+                       "path runs %d..%d but must run from guest %d's host %d to \
+                        guest %d's host %d"
+                       first last vs hs vd hd;
+                 });
+          if forward || (first = hd && last = hs) then begin
             let spec = Virtual_env.vlink venv vlink in
             let latency = ref 0. in
             Path.iter_edges p (fun eid ->
@@ -225,19 +202,46 @@ let check_view view =
                      bound = spec.Hmn_vnet.Vlink.latency_ms;
                    });
             Path.iter_edges p (fun eid ->
-                bw_used.(eid) <- bw_used.(eid) +. spec.Hmn_vnet.Vlink.bandwidth_mbps)
+                loads.bw_used.(eid) <-
+                  loads.bw_used.(eid) +. spec.Hmn_vnet.Vlink.bandwidth_mbps)
           end))
-  done;
-  (* Eq. 9 against raw capacities, then the reconstruction against the
-     stated residual state. *)
-  let bw_eps = residual_tolerance problem in
+  done
+
+(* Eqs. 2-3 per host, then the stated residual CPU against the derived
+   one when given. *)
+let scan_hosts cluster loads ~stated_cpu report =
+  Array.iter
+    (fun host ->
+      let cap = Cluster.capacity cluster host in
+      if loads.mem_used.(host) > cap.Resources.mem_mb +. capacity_eps then
+        report
+          (Memory_exceeded
+             { host; used = loads.mem_used.(host); capacity = cap.Resources.mem_mb });
+      if loads.stor_used.(host) > cap.Resources.stor_gb +. capacity_eps then
+        report
+          (Storage_exceeded
+             { host; used = loads.stor_used.(host); capacity = cap.Resources.stor_gb });
+      match stated_cpu with
+      | None -> ()
+      | Some stated_cpu ->
+        let derived = cap.Resources.mips -. loads.mips_used.(host) in
+        let stated = stated_cpu host in
+        if not (Hmn_prelude.Float_ext.approx ~eps:1e-6 stated derived) then
+          report (Cpu_accounting_mismatch { host; stated; derived }))
+    (Cluster.host_ids cluster)
+
+(* Eq. 9 against raw capacities, then the reconstruction against the
+   stated residual bandwidth when given. [n_vlinks] sizes the §6.1
+   ledger tolerance. *)
+let scan_edges cluster loads ~n_vlinks ~stated_avail report =
+  let bw_eps = ledger_tolerance n_vlinks in
   Array.iteri
     (fun eid used ->
       let cap = (Cluster.link cluster eid).Hmn_testbed.Link.bandwidth_mbps in
       if used > cap +. bw_eps then
         report (Bandwidth_exceeded { edge = eid; used; capacity = cap }))
-    bw_used;
-  (match view.residual_available with
+    loads.bw_used;
+  match stated_avail with
   | None -> ()
   | Some stated_avail ->
     Array.iteri
@@ -250,9 +254,39 @@ let check_view view =
         let stated = stated_avail eid in
         if Float.abs (stated -. derived) > bw_eps then
           report (Residual_mismatch { edge = eid; stated; derived }))
-      bw_used);
-  (* Eq. 10, recomputed without [Objective]. *)
-  let derived_lbf = derive_lbf problem view.host_of in
+      loads.bw_used
+
+(* Eq. 10 from the derived per-host MIPS loads only: residual CPU per
+   host is its capacity minus the demand placed there; the LBF is the
+   population standard deviation over hosts. Deliberately shares no
+   code with [Objective] or [Placement]. *)
+let derive_lbf cluster loads =
+  let hosts = Cluster.host_ids cluster in
+  let n = float_of_int (Array.length hosts) in
+  let rproc =
+    Array.map
+      (fun h -> (Cluster.capacity cluster h).Resources.mips -. loads.mips_used.(h))
+      hosts
+  in
+  let mean = Array.fold_left ( +. ) 0. rproc /. n in
+  let var =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. rproc /. n
+  in
+  sqrt var
+
+let check_view view =
+  let problem = view.problem in
+  let cluster = problem.Problem.cluster in
+  let venv = problem.Problem.venv in
+  let n_vlinks = Virtual_env.n_vlinks venv in
+  let violations = ref [] in
+  let report v = violations := v :: !violations in
+  let loads = empty_loads cluster in
+  let complete = scan_guests cluster loads venv view.host_of report in
+  scan_hosts cluster loads ~stated_cpu:None report;
+  scan_vlinks cluster loads venv view.host_of view.path_of report;
+  scan_edges cluster loads ~n_vlinks ~stated_avail:view.residual_available report;
+  let derived_lbf = if complete then Some (derive_lbf cluster loads) else None in
   (match (view.stated_lbf, derived_lbf) with
   | Some stated, Some derived
     when not (Hmn_prelude.Float_ext.approx ~eps:1e-6 stated derived) ->
@@ -260,9 +294,9 @@ let check_view view =
   | _ -> ());
   {
     violations = List.rev !violations;
-    guests_checked = n_guests;
+    guests_checked = Virtual_env.n_guests venv;
     vlinks_checked = n_vlinks;
-    edges_checked = n_edges;
+    edges_checked = Graph.n_edges (Cluster.graph cluster);
     derived_lbf;
   }
 
@@ -289,85 +323,21 @@ type multi_report = {
 let multi_ok r = r.per_tenant = [] && r.shared = []
 
 let check_tenants ?stated_bw_available ?stated_residual_cpu ~cluster ~tenants () =
-  let g = Cluster.graph cluster in
-  let n_nodes = Cluster.n_nodes cluster in
-  let n_edges = Graph.n_edges g in
   (* Shared accumulation: demands of every tenant summed against the
      raw capacities — nothing is read from the service's own residual
      bookkeeping, which is exactly what makes this an oracle for it. *)
-  let mem_used = Array.make n_nodes 0. in
-  let stor_used = Array.make n_nodes 0. in
-  let mips_used = Array.make n_nodes 0. in
-  let bw_used = Array.make n_edges 0. in
+  let loads = empty_loads cluster in
   let total_guests = ref 0 and total_vlinks = ref 0 in
   let per_tenant =
     List.filter_map
       (fun (tenant_id, tv) ->
         let venv = tv.venv in
-        let n_guests = Virtual_env.n_guests venv in
-        let n_vlinks = Virtual_env.n_vlinks venv in
-        total_guests := !total_guests + n_guests;
-        total_vlinks := !total_vlinks + n_vlinks;
+        total_guests := !total_guests + Virtual_env.n_guests venv;
+        total_vlinks := !total_vlinks + Virtual_env.n_vlinks venv;
         let violations = ref [] in
         let report v = violations := v :: !violations in
-        for guest = 0 to n_guests - 1 do
-          match tv.t_host_of guest with
-          | None -> report (Unassigned_guest guest)
-          | Some node ->
-            if node < 0 || node >= n_nodes || not (Cluster.is_host cluster node)
-            then report (Guest_on_non_host { guest; node })
-            else begin
-              let d = Virtual_env.demand venv guest in
-              mem_used.(node) <- mem_used.(node) +. d.Resources.mem_mb;
-              stor_used.(node) <- stor_used.(node) +. d.Resources.stor_gb;
-              mips_used.(node) <- mips_used.(node) +. d.Resources.mips
-            end
-        done;
-        for vlink = 0 to n_vlinks - 1 do
-          let vs, vd = Virtual_env.endpoints venv vlink in
-          match (tv.t_host_of vs, tv.t_host_of vd) with
-          | None, _ | _, None -> ()  (* already reported as Unassigned_guest *)
-          | Some hs, Some hd -> (
-            match tv.t_path_of vlink with
-            | None -> if hs <> hd then report (Unmapped_vlink vlink)
-            | Some p -> (
-              match check_path_structure cluster ~vlink p with
-              | Error v -> report v
-              | Ok () ->
-                let nodes = p.Path.nodes in
-                let first = nodes.(0) and last = nodes.(Array.length nodes - 1) in
-                if not ((first = hs && last = hd) || (first = hd && last = hs))
-                then
-                  report
-                    (Endpoint_mismatch
-                       {
-                         vlink;
-                         reason =
-                           Printf.sprintf
-                             "path runs %d..%d but the guests are placed on %d \
-                              and %d"
-                             first last hs hd;
-                       })
-                else begin
-                  let spec = Virtual_env.vlink venv vlink in
-                  let latency = ref 0. in
-                  Path.iter_edges p (fun eid ->
-                      latency :=
-                        !latency
-                        +. (Cluster.link cluster eid).Hmn_testbed.Link.latency_ms);
-                  if !latency > spec.Hmn_vnet.Vlink.latency_ms +. capacity_eps then
-                    report
-                      (Latency_exceeded
-                         {
-                           vlink;
-                           actual = !latency;
-                           bound = spec.Hmn_vnet.Vlink.latency_ms;
-                         });
-                  Path.iter_edges p (fun eid ->
-                      bw_used.(eid) <-
-                        bw_used.(eid) +. spec.Hmn_vnet.Vlink.bandwidth_mbps)
-                end))
-        done;
+        ignore (scan_guests cluster loads venv tv.t_host_of report : bool);
+        scan_vlinks cluster loads venv tv.t_host_of tv.t_path_of report;
         match List.rev !violations with
         | [] -> None
         | vs -> Some (tenant_id, vs))
@@ -375,43 +345,9 @@ let check_tenants ?stated_bw_available ?stated_residual_cpu ~cluster ~tenants ()
   in
   let shared = ref [] in
   let report v = shared := v :: !shared in
-  Array.iter
-    (fun host ->
-      let cap = Cluster.capacity cluster host in
-      if mem_used.(host) > cap.Resources.mem_mb +. capacity_eps then
-        report
-          (Memory_exceeded
-             { host; used = mem_used.(host); capacity = cap.Resources.mem_mb });
-      if stor_used.(host) > cap.Resources.stor_gb +. capacity_eps then
-        report
-          (Storage_exceeded
-             { host; used = stor_used.(host); capacity = cap.Resources.stor_gb });
-      match stated_residual_cpu with
-      | None -> ()
-      | Some stated_cpu ->
-        let derived = (Cluster.capacity cluster host).Resources.mips -. mips_used.(host) in
-        let stated = stated_cpu host in
-        if not (Hmn_prelude.Float_ext.approx ~eps:1e-6 stated derived) then
-          report (Cpu_accounting_mismatch { host; stated; derived }))
-    (Cluster.host_ids cluster);
-  let bw_eps = Residual.tolerance *. float_of_int (!total_vlinks + 1) in
-  Array.iteri
-    (fun eid used ->
-      let cap = (Cluster.link cluster eid).Hmn_testbed.Link.bandwidth_mbps in
-      if used > cap +. bw_eps then
-        report (Bandwidth_exceeded { edge = eid; used; capacity = cap }))
-    bw_used;
-  (match stated_bw_available with
-  | None -> ()
-  | Some stated_avail ->
-    Array.iteri
-      (fun eid used ->
-        let cap = (Cluster.link cluster eid).Hmn_testbed.Link.bandwidth_mbps in
-        let derived = Float.max 0. (cap -. used) in
-        let stated = stated_avail eid in
-        if Float.abs (stated -. derived) > bw_eps then
-          report (Residual_mismatch { edge = eid; stated; derived }))
-      bw_used);
+  scan_hosts cluster loads ~stated_cpu:stated_residual_cpu report;
+  scan_edges cluster loads ~n_vlinks:!total_vlinks ~stated_avail:stated_bw_available
+    report;
   {
     per_tenant;
     shared = List.rev !shared;

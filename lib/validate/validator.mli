@@ -1,25 +1,25 @@
 (** Independent re-derivation of every paper invariant a finished
-    mapping must satisfy.
+    mapping must satisfy — the one validity oracle of the system.
 
-    {!Constraints.check} (in [hmn_mapping]) validates a mapping through
-    the same [Path]/[Placement] helpers the mappers themselves use. This
-    module is the {e oracle}: it rebuilds each invariant from the raw
-    problem data and the physical graph alone — walking path node/edge
-    sequences against [Graph.endpoints] rather than [Path.validate],
-    summing demands rather than reading [Placement]'s residual arrays,
-    recomputing the load-balance factor without [Objective] — so a
-    bookkeeping bug in any of those layers is caught rather than
-    inherited. It additionally cross-checks the {e stated} mutable state
-    ([Link_map]'s [Residual], the mapping's reported objective) against
-    the reconstruction, which is how incremental-accounting drift
-    (remapping, live operations) becomes visible.
+    It rebuilds each invariant from the raw problem data and the
+    physical graph alone — walking path node/edge sequences against
+    [Graph.endpoints] rather than [Path.validate], summing demands
+    rather than reading [Placement]'s residual arrays, recomputing the
+    load-balance factor without [Objective] — so a bookkeeping bug in
+    any of those layers is caught rather than inherited. It additionally
+    cross-checks the {e stated} mutable state ([Link_map]'s [Residual],
+    the mapping's reported objective) against the reconstruction, which
+    is how incremental-accounting drift (remapping, live operations)
+    becomes visible. {!check_view} and {!check_tenants} run the same
+    passes, so one mapping gets the same verdict either way.
 
     Checked invariants, by paper equation:
     - every guest assigned, and only to host nodes (Eq. 1);
     - per-host memory and storage loads within capacity (Eqs. 2–3);
-    - every inter-host virtual link routed by a path that starts and
-      ends at the placed endpoints, is connected edge-by-edge in the
-      physical graph, and repeats no node (Eqs. 4–7);
+    - every inter-host virtual link routed by a path that runs from
+      the host of the link's first guest to the host of its second, is
+      connected edge-by-edge in the physical graph, and repeats no node
+      (Eqs. 4–7);
     - accumulated path latency within the virtual link's bound (Eq. 8);
     - per-physical-edge bandwidth sums within capacity (Eq. 9), and
       consistent with the stated residual state within the documented
@@ -36,9 +36,9 @@ type violation =
   | Storage_exceeded of { host : int; used : float; capacity : float }
   | Unmapped_vlink of int
   | Endpoint_mismatch of { vlink : int; reason : string }
-      (** The path does not start/end at the hosts the placement put the
-          link's guests on (Eqs. 4–5), including a non-trivial path for
-          an intra-host link. *)
+      (** The path does not run from the host of the link's first guest
+          to the host of its second (Eqs. 4–5). A reversed path is
+          flagged, but its latency and bandwidth still count. *)
   | Disconnected_path of { vlink : int; reason : string }
       (** A stated edge does not join the consecutive nodes in the
           physical graph (Eq. 6), or ids are out of range. *)

@@ -15,7 +15,7 @@ module Venv = Hmn_vnet.Virtual_env
 module Problem = Hmn_mapping.Problem
 module Placement = Hmn_mapping.Placement
 module Objective = Hmn_mapping.Objective
-module Constraints = Hmn_mapping.Constraints
+module Validator = Hmn_validate.Validator
 module Mapper = Hmn_core.Mapper
 module Hosting = Hmn_core.Hosting
 module Migration = Hmn_core.Migration
@@ -306,7 +306,8 @@ let test_hmn_end_to_end_valid () =
   match outcome.Mapper.result with
   | Error f -> Alcotest.fail f.Mapper.reason
   | Ok mapping ->
-    Alcotest.(check int) "no violations" 0 (List.length (Constraints.check mapping));
+    Alcotest.(check int) "no violations" 0
+      (List.length (Validator.check mapping).Validator.violations);
     Alcotest.(check bool) "migration ran" true
       (report.Hmn.migration_stats <> None);
     Alcotest.(check bool) "networking ran" true
@@ -351,7 +352,7 @@ let test_baselines_produce_valid_mappings () =
         Alcotest.(check int)
           (mapper.Mapper.name ^ " violations")
           0
-          (List.length (Constraints.check mapping)))
+          (List.length (Validator.check mapping).Validator.violations))
     (Registry.paper ~max_tries:100 ())
 
 let test_random_mapper_counts_tries () =
@@ -452,7 +453,8 @@ let test_dfs_route_all_valid () =
     | Error f -> Alcotest.fail f.Mapper.reason
     | Ok lm ->
       let mapping = Hmn_mapping.Mapping.make ~placement:p ~link_map:lm in
-      Alcotest.(check int) "valid" 0 (List.length (Constraints.check mapping)))
+      Alcotest.(check int) "valid" 0
+        (List.length (Validator.check mapping).Validator.violations))
 
 (* ---- Packing ---- *)
 
@@ -556,11 +558,11 @@ let live_handle ?(seed = 31) ?(n_guests = 60) () =
   let problem = random_problem ~seed ~n_guests in
   match (Hmn.run problem).Mapper.result with
   | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok mapping -> Hmn_core.Incremental.create mapping
+  | Ok mapping -> Hmn_online.Incremental.create mapping
 
 let test_incremental_move_guest () =
   let t = live_handle () in
-  let mapping = Hmn_core.Incremental.mapping t in
+  let mapping = Hmn_online.Incremental.mapping t in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   let cluster = (Hmn_mapping.Mapping.problem mapping).Problem.cluster in
   let guest = 0 in
@@ -570,16 +572,16 @@ let test_incremental_move_guest () =
     Array.to_list (Cluster.host_ids cluster)
     |> List.find (fun h -> h <> origin && Placement.fits placement ~guest ~host:h)
   in
-  (match Hmn_core.Incremental.move_guest t ~guest ~host:target with
+  (match Hmn_online.Incremental.move_guest t ~guest ~host:target with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check (option int)) "moved" (Some target) (Placement.host_of placement ~guest);
   Alcotest.(check int) "mapping still valid" 0
-    (List.length (Constraints.check mapping))
+    (List.length (Validator.check mapping).Validator.violations)
 
 let test_incremental_move_rollback () =
   let t = live_handle () in
-  let mapping = Hmn_core.Incremental.mapping t in
+  let mapping = Hmn_online.Incremental.mapping t in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   (* Moving to a switch (non-host) must fail and leave everything
      intact... the torus cluster has no switches, so instead move to a
@@ -605,14 +607,15 @@ let test_incremental_move_rollback () =
   | Some target ->
     let before = Placement.host_of placement ~guest in
     Alcotest.(check bool) "move fails" true
-      (Result.is_error (Hmn_core.Incremental.move_guest t ~guest ~host:target));
+      (Result.is_error (Hmn_online.Incremental.move_guest t ~guest ~host:target));
     Alcotest.(check (option int)) "guest unmoved" before
       (Placement.host_of placement ~guest));
-  Alcotest.(check int) "still valid" 0 (List.length (Constraints.check mapping))
+  Alcotest.(check int) "still valid" 0
+    (List.length (Validator.check mapping).Validator.violations)
 
 let test_incremental_evacuate () =
   let t = live_handle ~seed:32 () in
-  let mapping = Hmn_core.Incremental.mapping t in
+  let mapping = Hmn_online.Incremental.mapping t in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   let cluster = (Hmn_mapping.Mapping.problem mapping).Problem.cluster in
   (* Evacuate the busiest host. *)
@@ -623,11 +626,12 @@ let test_incremental_evacuate () =
   in
   let before = Placement.n_guests_on placement ~host in
   Alcotest.(check bool) "has guests to move" true (before > 0);
-  (match Hmn_core.Incremental.evacuate_host t ~host with
+  (match Hmn_online.Incremental.evacuate_host t ~host with
   | Ok moved -> Alcotest.(check int) "all moved" before moved
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "host empty" 0 (Placement.n_guests_on placement ~host);
-  Alcotest.(check int) "still valid" 0 (List.length (Constraints.check mapping))
+  Alcotest.(check int) "still valid" 0
+    (List.length (Validator.check mapping).Validator.violations)
 
 (* A drain that must get stuck: h0 holds a small guest (fits anywhere)
    and a big guest (fits only h0), joined by a virtual link. The small
@@ -664,17 +668,17 @@ let stuck_evacuation_handle () =
   (match Hmn_mapping.Link_map.assign link_map ~vlink:0 (Hmn_routing.Path.trivial 0) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Hmn_core.Incremental.create (Hmn_mapping.Mapping.make ~placement ~link_map)
+  Hmn_online.Incremental.create (Hmn_mapping.Mapping.make ~placement ~link_map)
 
 let test_incremental_evacuate_rollback () =
-  (* Default rollback: a failed drain leaves the mapping exactly as
+  (* A failed drain leaves the mapping exactly as
      found — both guests back on h0, the link back on its trivial
      path. *)
   let t = stuck_evacuation_handle () in
-  let mapping = Hmn_core.Incremental.mapping t in
+  let mapping = Hmn_online.Incremental.mapping t in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   let link_map = mapping.Hmn_mapping.Mapping.link_map in
-  (match Hmn_core.Incremental.evacuate_host t ~host:0 with
+  (match Hmn_online.Incremental.evacuate_host t ~host:0 with
   | Ok n -> Alcotest.failf "drain unexpectedly succeeded (%d moves)" n
   | Error e ->
     let contains_sub s sub =
@@ -696,31 +700,13 @@ let test_incremental_evacuate_rollback () =
       (Hmn_routing.Path.is_intra_host p)
   | None -> Alcotest.fail "link lost its path");
   Alcotest.(check int) "mapping exactly as found" 0
-    (List.length (Constraints.check mapping));
+    (List.length (Validator.check mapping).Validator.violations);
   Alcotest.(check bool) "residual bandwidth fully restored" true
     (let residual = Hmn_mapping.Link_map.residual link_map in
      let g = Cluster.graph (Hmn_routing.Residual.cluster residual) in
      List.for_all
        (fun eid -> Hmn_routing.Residual.used residual eid <= 1e-9)
        (List.init (Graph.n_edges g) Fun.id))
-
-let test_incremental_evacuate_no_rollback () =
-  (* rollback:false keeps the partial drain: the small guest stays
-     moved, the big one stays stuck on h0, and the mapping is still
-     valid. *)
-  let t = stuck_evacuation_handle () in
-  let mapping = Hmn_core.Incremental.mapping t in
-  let placement = mapping.Hmn_mapping.Mapping.placement in
-  (match Hmn_core.Incremental.evacuate_host ~rollback:false t ~host:0 with
-  | Ok n -> Alcotest.failf "drain unexpectedly succeeded (%d moves)" n
-  | Error _ -> ());
-  (match Placement.host_of placement ~guest:0 with
-  | Some h -> Alcotest.(check bool) "small guest stays moved" true (h <> 0)
-  | None -> Alcotest.fail "small guest lost");
-  Alcotest.(check (option int)) "big guest still on h0" (Some 0)
-    (Placement.host_of placement ~guest:1);
-  Alcotest.(check int) "partial state still valid" 0
-    (List.length (Constraints.check mapping))
 
 let test_incremental_rebalance () =
   (* Build a deliberately unbalanced valid mapping: place everything
@@ -734,12 +720,13 @@ let test_incremental_rebalance () =
     | Ok (link_map, _) ->
       let mapping = Hmn_mapping.Mapping.make ~placement ~link_map in
       let before = Hmn_mapping.Mapping.objective mapping in
-      let t = Hmn_core.Incremental.create mapping in
-      let moves = Hmn_core.Incremental.rebalance t in
+      let t = Hmn_online.Incremental.create mapping in
+      let moves = Hmn_online.Incremental.rebalance t in
       let after = Hmn_mapping.Mapping.objective mapping in
       Alcotest.(check bool) "moved some" true (moves > 0);
       Alcotest.(check bool) "improved" true (after < before);
-      Alcotest.(check int) "still valid" 0 (List.length (Constraints.check mapping)))
+      Alcotest.(check int) "still valid" 0
+        (List.length (Validator.check mapping).Validator.violations))
 
 let test_incremental_rebalance_matches_reference () =
   (* One live rebalance move is the move the full-scan stage makes on
@@ -754,8 +741,8 @@ let test_incremental_rebalance_matches_reference () =
       let reference = Placement.copy placement in
       let s0 = Reference_migration.run ~max_moves:1 reference in
       let mapping = Hmn_mapping.Mapping.make ~placement ~link_map in
-      let t = Hmn_core.Incremental.create mapping in
-      let moves = Hmn_core.Incremental.rebalance ~max_moves:1 t in
+      let t = Hmn_online.Incremental.create mapping in
+      let moves = Hmn_online.Incremental.rebalance ~max_moves:1 t in
       Alcotest.(check int) "one move each" s0.Reference_migration.moves moves;
       Alcotest.(check int) "made a move" 1 moves;
       for guest = 0 to Venv.n_guests problem.Problem.venv - 1 do
@@ -779,15 +766,15 @@ let test_incremental_rebalance_many_matches_reference () =
       | Ok (link_map, _) -> Hmn_mapping.Mapping.make ~placement ~link_map)
   in
   let m0 = build () and m1 = build () in
-  let t0 = Hmn_core.Incremental.create m0 and t1 = Hmn_core.Incremental.create m1 in
+  let t0 = Hmn_online.Incremental.create m0 and t1 = Hmn_online.Incremental.create m1 in
   let p0 = m0.Hmn_mapping.Mapping.placement and p1 = m1.Hmn_mapping.Mapping.placement in
   let n_guests = Venv.n_guests (Placement.problem p0).Problem.venv in
   let moves0, _ =
     Reference_migration.loop p0 ~max_moves:(4 * n_guests)
       ~move:(fun ~guest ~host ->
-        Result.is_ok (Hmn_core.Incremental.move_guest t0 ~guest ~host))
+        Result.is_ok (Hmn_online.Incremental.move_guest t0 ~guest ~host))
   in
-  let moves1 = Hmn_core.Incremental.rebalance t1 in
+  let moves1 = Hmn_online.Incremental.rebalance t1 in
   Alcotest.(check int) "moves" moves0 moves1;
   Alcotest.(check bool) "several moves" true (moves1 > 1);
   for guest = 0 to n_guests - 1 do
@@ -813,7 +800,7 @@ let test_incremental_rejects_invalid () =
   let link_map = Hmn_mapping.Link_map.create problem in
   let mapping = Hmn_mapping.Mapping.make ~placement ~link_map in
   Alcotest.(check bool) "raises on invalid mapping" true
-    (match Hmn_core.Incremental.create mapping with
+    (match Hmn_online.Incremental.create mapping with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -825,16 +812,16 @@ let prop_incremental_random_ops_stay_valid =
       match (Hmn.run problem).Mapper.result with
       | Error _ -> true
       | Ok mapping ->
-        let t = Hmn_core.Incremental.create mapping in
+        let t = Hmn_online.Incremental.create mapping in
         let cluster = (Hmn_mapping.Mapping.problem mapping).Problem.cluster in
         let hosts = Cluster.host_ids cluster in
         let rng = Hmn_rng.Rng.create seed in
         for _ = 1 to 20 do
           let guest = Hmn_rng.Rng.int rng ~bound:40 in
           let host = hosts.(Hmn_rng.Rng.int rng ~bound:(Array.length hosts)) in
-          ignore (Hmn_core.Incremental.move_guest t ~guest ~host)
+          ignore (Hmn_online.Incremental.move_guest t ~guest ~host)
         done;
-        Constraints.is_valid mapping)
+        Validator.is_valid mapping)
 
 (* ---- Annealing ---- *)
 
@@ -857,7 +844,8 @@ let test_annealing_mapper_valid () =
   match (run_mapper mapper ~seed:2 problem).Mapper.result with
   | Error f -> Alcotest.fail f.Mapper.reason
   | Ok mapping ->
-    Alcotest.(check int) "valid" 0 (List.length (Constraints.check mapping))
+    Alcotest.(check int) "valid" 0
+      (List.length (Validator.check mapping).Validator.violations)
 
 let test_annealing_param_validation () =
   let problem = random_problem ~seed:17 ~n_guests:20 in
@@ -890,7 +878,8 @@ let test_genetic_mapper_valid () =
   match (run_mapper mapper ~seed:4 problem).Mapper.result with
   | Error f -> Alcotest.fail f.Mapper.reason
   | Ok mapping ->
-    Alcotest.(check int) "valid" 0 (List.length (Constraints.check mapping))
+    Alcotest.(check int) "valid" 0
+      (List.length (Validator.check mapping).Validator.violations)
 
 let test_genetic_fails_on_impossible () =
   let cluster = line_cluster 2 in
@@ -939,7 +928,7 @@ let prop_hmn_mappings_always_valid =
       let problem = random_problem ~seed:(seed + 4000) ~n_guests in
       match (Hmn.run problem).Mapper.result with
       | Error _ -> true (* failing is allowed; returning junk is not *)
-      | Ok mapping -> Constraints.is_valid mapping)
+      | Ok mapping -> Validator.is_valid mapping)
 
 let prop_baseline_mappings_always_valid =
   QCheck.Test.make
@@ -951,7 +940,7 @@ let prop_baseline_mappings_always_valid =
         (fun mapper ->
           match (run_mapper mapper ~seed problem).Mapper.result with
           | Error _ -> true
-          | Ok mapping -> Constraints.is_valid mapping)
+          | Ok mapping -> Validator.is_valid mapping)
         (Registry.all ~max_tries:30 ()))
 
 let prop_migration_never_worsens =
@@ -1215,7 +1204,7 @@ let prop_sharded_pipeline_mappings_valid =
       let outcome, _ = Hmn.run_sharded_detailed ~jobs:2 problem in
       match outcome.Mapper.result with
       | Error _ -> true (* failing is allowed; returning junk is not *)
-      | Ok mapping -> Constraints.is_valid mapping)
+      | Ok mapping -> Validator.is_valid mapping)
 
 let prop_sharded_falls_back_to_flat_on_unracked =
   QCheck.Test.make
@@ -1308,8 +1297,6 @@ let () =
           Alcotest.test_case "evacuate host" `Quick test_incremental_evacuate;
           Alcotest.test_case "evacuate rollback" `Quick
             test_incremental_evacuate_rollback;
-          Alcotest.test_case "evacuate without rollback" `Quick
-            test_incremental_evacuate_no_rollback;
           Alcotest.test_case "rebalance" `Quick test_incremental_rebalance;
           Alcotest.test_case "rebalance moves like the reference" `Quick
             test_incremental_rebalance_matches_reference;

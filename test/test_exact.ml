@@ -10,7 +10,7 @@ module Guest = Hmn_vnet.Guest
 module Vlink = Hmn_vnet.Vlink
 module Venv = Hmn_vnet.Virtual_env
 module Problem = Hmn_mapping.Problem
-module Constraints = Hmn_mapping.Constraints
+module Validator = Hmn_validate.Validator
 module Bound = Hmn_exact.Bound
 module Solver = Hmn_exact.Solver
 
@@ -181,7 +181,7 @@ let prop_routing_mode_sound =
       match result.Solver.best_mapping with
       | None -> true
       | Some (obj, mapping) ->
-        if Constraints.check mapping <> [] then
+        if not (Validator.is_valid mapping) then
           QCheck.Test.fail_report "certified mapping violates constraints";
         if obj < result.Solver.lower_bound -. 1e-9 then
           QCheck.Test.fail_report "optimum below its own lower bound";

@@ -7,7 +7,7 @@ module Cluster = Hmn_testbed.Cluster
 module Resources = Hmn_testbed.Resources
 module Venv = Hmn_vnet.Virtual_env
 module Problem = Hmn_mapping.Problem
-module Constraints = Hmn_mapping.Constraints
+module Validator = Hmn_validate.Validator
 module Mapping = Hmn_mapping.Mapping
 
 let sample_problem ?(seed = 321) ?(guests = 40) () =
@@ -55,7 +55,7 @@ let test_mapping_roundtrip () =
   match Codec.mapping_of_json ~problem (Codec.mapping_to_json mapping) with
   | Error e -> Alcotest.fail e
   | Ok mapping' ->
-    Alcotest.(check bool) "valid after reload" true (Constraints.is_valid mapping');
+    Alcotest.(check bool) "valid after reload" true (Validator.is_valid mapping');
     Alcotest.(check (float 1e-9)) "same objective" (Mapping.objective mapping)
       (Mapping.objective mapping');
     Alcotest.(check int) "same hops" (Mapping.total_hops mapping)
@@ -66,7 +66,7 @@ let test_bundle_roundtrip () =
   match Codec.bundle_of_json (Codec.bundle_to_json mapping) with
   | Error e -> Alcotest.fail e
   | Ok mapping' ->
-    Alcotest.(check bool) "valid" true (Constraints.is_valid mapping');
+    Alcotest.(check bool) "valid" true (Validator.is_valid mapping');
     Alcotest.(check (float 1e-9)) "objective preserved" (Mapping.objective mapping)
       (Mapping.objective mapping')
 
@@ -90,7 +90,7 @@ let test_file_persistence () =
       match Codec.load_bundle ~path with
       | Error e -> Alcotest.fail e
       | Ok mapping' ->
-        Alcotest.(check bool) "valid" true (Constraints.is_valid mapping'));
+        Alcotest.(check bool) "valid" true (Validator.is_valid mapping'));
   (* Missing file is a clean error, not an exception. *)
   Alcotest.(check bool) "missing file" true
     (Result.is_error (Codec.load_bundle ~path:"/nonexistent/nope.json"))
@@ -155,7 +155,7 @@ let prop_roundtrip_many_seeds =
         match Codec.bundle_of_json (Codec.bundle_to_json mapping) with
         | Error _ -> false
         | Ok mapping' ->
-          Constraints.is_valid mapping'
+          Validator.is_valid mapping'
           && Hmn_prelude.Float_ext.approx (Mapping.objective mapping)
                (Mapping.objective mapping')))
 
@@ -218,7 +218,7 @@ let test_rejects_tampered_bandwidth () =
   let rejected =
     match Codec.bundle_of_json tampered with
     | Error _ -> true
-    | Ok mapping' -> not (Constraints.is_valid mapping')
+    | Ok mapping' -> not (Validator.is_valid mapping')
   in
   Alcotest.(check bool) "over-capacity bundle rejected" true rejected
 

@@ -1,6 +1,7 @@
 (* Tests for hmn_mapping: problems, placements, link maps, the
-   objective (Eqs. 10-12), the constraint validator (Eqs. 1-9) and the
-   reporting helpers. *)
+   objective (Eqs. 10-12), the validator's verdict (Eqs. 1-9) on
+   mappings built from real placements and link maps, and the reporting
+   helpers. *)
 
 module Graph = Hmn_graph.Graph
 module Cluster = Hmn_testbed.Cluster
@@ -15,7 +16,7 @@ module Placement = Hmn_mapping.Placement
 module Link_map = Hmn_mapping.Link_map
 module Mapping = Hmn_mapping.Mapping
 module Objective = Hmn_mapping.Objective
-module Constraints = Hmn_mapping.Constraints
+module Validator = Hmn_validate.Validator
 module Path = Hmn_routing.Path
 
 (* Fixture: 3 hosts on a line (0-1-2), 4 guests in a star around guest
@@ -250,7 +251,8 @@ let test_link_map () =
   Alcotest.(check bool) "unassign twice" true
     (Result.is_error (Link_map.unassign lm ~vlink:l1))
 
-(* ---- Constraints ---- *)
+(* ---- Constraints (Eqs. 1-9), checked by the Validator on mappings
+   built from real placements and link maps ---- *)
 
 (* Builds a fully valid mapping of the fixture: all guests on distinct
    hosts where possible, each virtual link routed on the line. *)
@@ -278,8 +280,9 @@ let valid_mapping () =
 
 let test_constraints_valid () =
   let _, m = valid_mapping () in
-  Alcotest.(check bool) "valid" true (Constraints.is_valid m);
-  Alcotest.(check int) "no violations" 0 (List.length (Constraints.check m))
+  Alcotest.(check bool) "valid" true (Validator.is_valid m);
+  Alcotest.(check int) "no violations" 0
+    (List.length (Validator.check m).Validator.violations)
 
 let test_constraints_unassigned () =
   let problem, l1, l2, l3 = fixture () in
@@ -287,10 +290,10 @@ let test_constraints_unassigned () =
   let p = Placement.create problem in
   ignore (Placement.assign p ~guest:0 ~host:0);
   let m = Mapping.make ~placement:p ~link_map:(Link_map.create problem) in
-  let vs = Constraints.check m in
+  let vs = (Validator.check m).Validator.violations in
   Alcotest.(check int) "three unassigned" 3
     (List.length
-       (List.filter (function Constraints.Unassigned_guest _ -> true | _ -> false) vs))
+       (List.filter (function Validator.Unassigned_guest _ -> true | _ -> false) vs))
 
 let test_constraints_unmapped_link () =
   let problem, l1, _, _ = fixture () in
@@ -301,12 +304,12 @@ let test_constraints_unmapped_link () =
   ignore (Placement.assign p ~guest:2 ~host:0);
   ignore (Placement.assign p ~guest:3 ~host:0);
   let m = Mapping.make ~placement:p ~link_map:(Link_map.create problem) in
-  let vs = Constraints.check m in
+  let vs = (Validator.check m).Validator.violations in
   (* vm0@0-vm1@1 is inter-host and unmapped; the other two links are
      intra-host and fine without paths. *)
   Alcotest.(check int) "one unmapped" 1
     (List.length
-       (List.filter (function Constraints.Unmapped_vlink _ -> true | _ -> false) vs))
+       (List.filter (function Validator.Unmapped_vlink _ -> true | _ -> false) vs))
 
 let test_constraints_wrong_endpoint () =
   let problem, m = valid_mapping () in
@@ -314,9 +317,9 @@ let test_constraints_wrong_endpoint () =
   (* Mutate the placement so an existing path no longer starts at the
      right host. *)
   ignore (Placement.migrate m.Mapping.placement ~guest:1 ~host:2);
-  let vs = Constraints.check m in
-  Alcotest.(check bool) "bad path reported" true
-    (List.exists (function Constraints.Bad_path _ -> true | _ -> false) vs)
+  let vs = (Validator.check m).Validator.violations in
+  Alcotest.(check bool) "endpoint mismatch reported" true
+    (List.exists (function Validator.Endpoint_mismatch _ -> true | _ -> false) vs)
 
 let test_constraints_latency_violation () =
   let problem, l1, _, _ = fixture () in
@@ -352,18 +355,9 @@ let test_constraints_latency_violation () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let m = Mapping.make ~placement:p2 ~link_map:lm in
-  let vs = Constraints.check m in
+  let vs = (Validator.check m).Validator.violations in
   Alcotest.(check bool) "latency violation (10 ms > 5 ms bound)" true
-    (List.exists (function Constraints.Latency_exceeded _ -> true | _ -> false) vs)
-
-let test_constraints_pp () =
-  let _, m = valid_mapping () in
-  ignore (Placement.migrate m.Mapping.placement ~guest:1 ~host:2);
-  List.iter
-    (fun v ->
-      let s = Format.asprintf "%a" Constraints.pp_violation v in
-      Alcotest.(check bool) "non-empty message" true (String.length s > 0))
-    (Constraints.check m)
+    (List.exists (function Validator.Latency_exceeded _ -> true | _ -> false) vs)
 
 (* ---- Mapping metrics & report ---- *)
 
@@ -536,7 +530,6 @@ let () =
           Alcotest.test_case "wrong endpoint" `Quick test_constraints_wrong_endpoint;
           Alcotest.test_case "latency violation" `Quick
             test_constraints_latency_violation;
-          Alcotest.test_case "violation printing" `Quick test_constraints_pp;
         ] );
       ( "mapping & report",
         [

@@ -2,8 +2,9 @@
    differential fuzz harness. The validator must accept every mapping
    the real heuristics produce, and reject a hand-corrupted view for
    each violation class — capacity overflow, disconnected / non-simple
-   paths, latency violations, bandwidth overflow, residual drift and a
-   wrong load-balance factor. *)
+   / reversed paths, latency violations, bandwidth overflow, residual
+   drift and a wrong load-balance factor. The single-mapping and the
+   multi-tenant checks must agree on one tenant. *)
 
 module Graph = Hmn_graph.Graph
 module Cluster = Hmn_testbed.Cluster
@@ -176,6 +177,24 @@ let test_flags_endpoint_mismatch () =
   in
   check_flags ~expected:"endpoint-mismatch" view
 
+(* Eqs. 4-5 orient a path: from the host of the link's first guest to
+   the host of its second. The valid mapping's one path, reversed. *)
+let test_flags_reversed_path () =
+  let problem, e01, _, _, _ = fixture () in
+  let m = valid_mapping problem e01 in
+  let view =
+    {
+      (base_view problem) with
+      host_of = (Validator.view_of_mapping m).Validator.host_of;
+      path_of =
+        (fun vlink ->
+          if vlink = 0 then Some (Path.make ~nodes:[ 1; 0 ] ~edges:[ e01 ]) else None);
+    }
+  in
+  Alcotest.(check (list string)) "only the orientation is wrong"
+    [ "endpoint-mismatch" ]
+    (labels (Validator.check_view view))
+
 let test_flags_latency () =
   (* Bound of 10 ms; the only offered path for vlink 0 runs 0-1-2-3 at
      15 ms. Guests 0 and 1 are placed at the path's ends so the
@@ -205,6 +224,33 @@ let test_flags_bandwidth_overflow () =
     }
   in
   check_flags ~expected:"bandwidth-exceeded" view
+
+(* Eq. 9 grants the §6.1 ledger tolerance, [Residual.tolerance] per
+   routed link plus one: two links that overcommit one 100 Mbps cable
+   by half of it pass, by twice it fail. *)
+let test_bandwidth_tolerance () =
+  let labels_at over =
+    let bw = (100. +. over) /. 2. in
+    let problem, e01, _, _, _ = fixture ~bw () in
+    let tol = Validator.residual_tolerance problem in
+    Alcotest.(check (float 0.)) "two links' tolerance" (3. *. Residual.tolerance) tol;
+    let view =
+      {
+        (base_view problem) with
+        host_of = (fun g -> Some (g mod 2));  (* guests 0,2 on host 0; 1 on 1 *)
+        path_of =
+          (fun vlink ->
+            (* vlink 0 runs host 0 -> 1, vlink 1 host 1 -> 0 *)
+            if vlink = 0 then Some (Path.make ~nodes:[ 0; 1 ] ~edges:[ e01 ])
+            else Some (Path.make ~nodes:[ 1; 0 ] ~edges:[ e01 ]));
+      }
+    in
+    labels (Validator.check_view view)
+  in
+  let tol = 3. *. Residual.tolerance in
+  Alcotest.(check (list string)) "just inside" [] (labels_at (0.5 *. tol));
+  Alcotest.(check (list string)) "just past" [ "bandwidth-exceeded" ]
+    (labels_at (2. *. tol))
 
 let test_flags_residual_mismatch () =
   let problem, e01, _, _, _ = fixture () in
@@ -262,6 +308,135 @@ let prop_mappers_produce_valid_mappings =
           | Ok mapping -> (Validator.check mapping).Validator.violations = [])
         (Hmn_core.Registry.all ~max_tries:20 ()))
 
+(* Up to three seeded corruptions of a mapping's view: a guest moved to
+   a random node (a switch or out of range included) or unassigned,
+   every other guest crowded onto one node, a path dropped, reversed,
+   looped back to its start, or swapped for another link's, all guests
+   split over the two ends of one routed path that then carries every
+   link between them, in either direction, and the physical links
+   squeezed to a thousandth of their bandwidth at thrice their
+   latency. *)
+let corrupt_view rng (view : Validator.view) =
+  let module Rng = Hmn_rng.Rng in
+  let problem = view.Validator.problem in
+  let venv = problem.Problem.venv in
+  let n_nodes = Cluster.n_nodes problem.Problem.cluster in
+  let n_guests = Virtual_env.n_guests venv in
+  let n_vlinks = Virtual_env.n_vlinks venv in
+  let hosts = Hashtbl.create 4 and paths = Hashtbl.create 4 in
+  let cluster = ref problem.Problem.cluster in
+  let routed vlink =
+    match view.Validator.path_of vlink with
+    | Some p when Path.hop_count p > 0 -> Some p
+    | _ -> None
+  in
+  let list = Array.to_list in
+  for _ = 1 to Rng.int rng ~bound:4 do
+    let vlink = Rng.int rng ~bound:(max 1 n_vlinks) in
+    match Rng.int rng ~bound:8 with
+    | 0 ->
+      Hashtbl.replace hosts (Rng.int rng ~bound:n_guests)
+        (if Rng.bool rng then None else Some (Rng.int rng ~bound:(n_nodes + 1)))
+    | 1 ->
+      let node = Some (Rng.int rng ~bound:n_nodes) in
+      for guest = 0 to n_guests - 1 do
+        if guest mod 2 = 0 then Hashtbl.replace hosts guest node
+      done
+    | 2 -> Hashtbl.replace paths vlink None
+    | 3 ->
+      Option.iter
+        (fun (p : Path.t) ->
+          Hashtbl.replace paths vlink
+            (Some
+               (Path.make
+                  ~nodes:(List.rev (list p.Path.nodes))
+                  ~edges:(List.rev (list p.Path.edges)))))
+        (routed vlink)
+    | 4 ->
+      Option.iter
+        (fun (p : Path.t) ->
+          Hashtbl.replace paths vlink
+            (Some
+               (Path.make
+                  ~nodes:(list p.Path.nodes @ [ p.Path.nodes.(0) ])
+                  ~edges:(list p.Path.edges @ [ p.Path.edges.(0) ]))))
+        (routed vlink)
+    | 5 ->
+      Option.iter
+        (fun p ->
+          for guest = 0 to n_guests - 1 do
+            Hashtbl.replace hosts guest
+              (Some (if guest mod 2 = 0 then Path.src p else Path.dst p))
+          done;
+          for v = 0 to n_vlinks - 1 do
+            let vs, vd = Virtual_env.endpoints venv v in
+            Hashtbl.replace paths v (if (vs + vd) mod 2 = 1 then Some p else None)
+          done)
+        (routed vlink)
+    | 6 ->
+      let squeeze ~eid:_ (l : Link.t) =
+        Link.make ~bandwidth_mbps:(l.Link.bandwidth_mbps /. 1000.)
+          ~latency_ms:(3. *. l.Link.latency_ms)
+      in
+      cluster :=
+        Cluster.create
+          ~nodes:(Array.init n_nodes (Cluster.node !cluster))
+          ~graph:(Graph.map_labels (Cluster.graph !cluster) ~f:squeeze)
+    | _ ->
+      Hashtbl.replace paths vlink
+        (view.Validator.path_of (Rng.int rng ~bound:(max 1 n_vlinks)))
+  done;
+  let overlay tbl f x = match Hashtbl.find_opt tbl x with Some y -> y | None -> f x in
+  {
+    Validator.problem = Problem.make ~cluster:!cluster ~venv;
+    host_of = overlay hosts view.Validator.host_of;
+    path_of = overlay paths view.Validator.path_of;
+    residual_available = None;
+    stated_lbf = None;
+  }
+
+(* One mapping is one tenant: without the stated-state cross-checks the
+   single-mapping and multi-tenant checks run the same passes, so they
+   must flag the same violations. *)
+let prop_view_matches_tenants =
+  QCheck.Test.make ~name:"check_view and check_tenants agree on one tenant"
+    ~count:40 QCheck.small_nat
+    (fun seed ->
+      let case_seed = 9000 + seed in
+      let rng = Hmn_rng.Rng.create case_seed in
+      let params = Fuzz.draw_params rng in
+      let problem = Fuzz.build_problem params ~seed:case_seed in
+      let hmn = Option.get (Hmn_core.Registry.find "HMN") in
+      let view =
+        match (hmn.Hmn_core.Mapper.run ~rng problem).Hmn_core.Mapper.result with
+        | Ok mapping -> Validator.view_of_mapping mapping
+        | Error _ -> base_view problem
+      in
+      let view = corrupt_view rng view in
+      let single = List.sort compare (labels (Validator.check_view view)) in
+      let multi =
+        Validator.check_tenants ~cluster:view.Validator.problem.Problem.cluster
+          ~tenants:
+            [
+              ( 0,
+                {
+                  Validator.venv = problem.Problem.venv;
+                  t_host_of = view.Validator.host_of;
+                  t_path_of = view.Validator.path_of;
+                } );
+            ]
+          ()
+      in
+      let multi =
+        List.concat_map snd multi.Validator.per_tenant @ multi.Validator.shared
+        |> List.map Validator.violation_label
+        |> List.sort compare
+      in
+      if single <> multi then
+        QCheck.Test.fail_reportf "check_view [%s] <> check_tenants [%s]"
+          (String.concat ", " single) (String.concat ", " multi);
+      true)
+
 let prop_fuzz_smoke_clean =
   QCheck.Test.make ~name:"fuzz harness finds nothing on a healthy build" ~count:3
     QCheck.small_nat
@@ -284,13 +459,19 @@ let () =
           Alcotest.test_case "disconnected path" `Quick test_flags_disconnected_path;
           Alcotest.test_case "non-simple path" `Quick test_flags_non_simple_path;
           Alcotest.test_case "endpoint mismatch" `Quick test_flags_endpoint_mismatch;
+          Alcotest.test_case "reversed path" `Quick test_flags_reversed_path;
           Alcotest.test_case "latency violation" `Quick test_flags_latency;
           Alcotest.test_case "bandwidth overflow" `Quick test_flags_bandwidth_overflow;
+          Alcotest.test_case "bandwidth tolerance" `Quick test_bandwidth_tolerance;
           Alcotest.test_case "residual mismatch" `Quick test_flags_residual_mismatch;
           Alcotest.test_case "wrong LBF" `Quick test_flags_wrong_lbf;
           Alcotest.test_case "live residual drift" `Quick
             test_residual_drift_detected_on_mapping;
         ] );
       ( "properties",
-        [ q prop_mappers_produce_valid_mappings; q prop_fuzz_smoke_clean ] );
+        [
+          q prop_mappers_produce_valid_mappings;
+          q prop_fuzz_smoke_clean;
+          q prop_view_matches_tenants;
+        ] );
     ]
