@@ -2,7 +2,6 @@ type 'a t = { mutable data : 'a array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let ensure_room t filler =
   if Array.length t.data = 0 then t.data <- Array.make 8 filler
@@ -28,19 +27,7 @@ let set t i x =
   check t i "set";
   t.data.(i) <- x
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    t.size <- t.size - 1;
-    let x = t.data.(t.size) in
-    (* Keep a live value in the slot so nothing is retained spuriously. *)
-    if t.size > 0 then t.data.(t.size) <- t.data.(0);
-    Some x
-  end
-
 let to_array t = Array.sub t.data 0 t.size
-
-let of_array xs = { data = Array.copy xs; size = Array.length xs }
 
 let iter f t =
   for i = 0 to t.size - 1 do
@@ -53,13 +40,3 @@ let fold_left f acc t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
-let reset t = t.size <- 0
-
-let truncate t n =
-  if n < 0 || n > t.size then invalid_arg "Dynarray.truncate: bad length";
-  t.size <- n

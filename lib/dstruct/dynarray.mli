@@ -7,7 +7,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
@@ -17,28 +16,8 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 (** Raises [Invalid_argument] out of bounds. *)
 
-val pop : 'a t -> 'a option
-(** Removes and returns the last element. *)
-
 val to_array : 'a t -> 'a array
 (** Fresh array of the current contents. *)
 
-val of_array : 'a array -> 'a t
-
 val iter : ('a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val clear : 'a t -> unit
-(** Empties the array and releases its storage. *)
-
-val reset : 'a t -> unit
-(** Empties the array but keeps its storage for reuse, so a pooled
-    array reaches a steady state where pushes never allocate. The
-    vacated slots are not overwritten: reserve [reset] for unboxed
-    elements (ints, floats), where nothing can be spuriously
-    retained. *)
-
-val truncate : 'a t -> int -> unit
-(** Shrinks the array to its first [n] elements, keeping storage (same
-    retention caveat as {!reset}). Raises [Invalid_argument] when [n]
-    exceeds the current length or is negative. *)

@@ -222,5 +222,3 @@ let render verdicts =
            v.detail))
     verdicts;
   Buffer.contents buf
-
-let all_hold verdicts = List.for_all (fun v -> v.holds) verdicts

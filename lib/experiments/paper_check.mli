@@ -30,5 +30,3 @@ val check_all : Runner.results -> verdict list
       correlation is at least 0.5 (paper: 0.7). *)
 
 val render : verdict list -> string
-
-val all_hold : verdict list -> bool

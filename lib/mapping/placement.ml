@@ -115,9 +115,6 @@ let n_guests_on t ~host =
   check_host t host;
   Hashtbl.length t.on_host.(host)
 
-let iter_assigned t f =
-  Array.iteri (fun guest host -> if host <> -1 then f ~guest ~host) t.host_of
-
 let host_of_exn t ~guest =
   match host_of t ~guest with
   | Some h -> h

@@ -45,7 +45,5 @@ val guests_on : t -> host:int -> int list
 
 val n_guests_on : t -> host:int -> int
 
-val iter_assigned : t -> (guest:int -> host:int -> unit) -> unit
-
 val host_of_exn : t -> guest:int -> int
 (** Raises [Invalid_argument] when unassigned. *)

@@ -31,7 +31,6 @@ let of_mapping ~id ~arrived_at ~holding_s (m : Hmn_mapping.Mapping.t) =
   in
   { id; venv; hosts; paths; arrived_at; holding_s }
 
-let departs_at t = t.arrived_at +. t.holding_s
 let n_guests t = Venv.n_guests t.venv
 let n_vlinks t = Venv.n_vlinks t.venv
 

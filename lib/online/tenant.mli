@@ -22,7 +22,6 @@ val of_mapping :
     Raises [Invalid_argument] on a negative id, a non-finite or negative
     holding time, or an unplaced guest. *)
 
-val departs_at : t -> float
 val n_guests : t -> int
 val n_vlinks : t -> int
 

@@ -6,8 +6,6 @@ let rec drop n = function
   | [] -> []
   | _ :: xs as l -> if n <= 0 then l else drop (n - 1) xs
 
-let sum_by f xs = List.fold_left (fun acc x -> acc +. f x) 0. xs
-
 let min_by f = function
   | [] -> invalid_arg "List_ext.min_by: empty list"
   | x :: xs ->

@@ -7,9 +7,6 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 (** List without its first [n] elements. *)
 
-val sum_by : ('a -> float) -> 'a list -> float
-(** Sum of [f x] over the list. *)
-
 val min_by : ('a -> float) -> 'a list -> 'a
 (** Element minimizing [f]; earliest on ties. Raises on empty list. *)
 

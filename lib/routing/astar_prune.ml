@@ -99,7 +99,7 @@ let forced_feasible ~tab ~latencies ~avails ~bandwidth_mbps ~latency_ms
 (* ---- the arena search ---- *)
 
 let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
-    ~prune_dominated ~src ~dst ~bandwidth_mbps ~latency_ms =
+    ~prune_dominated ~n ~src ~dst ~bandwidth_mbps ~latency_ms =
   (* Destructured once: the hot loop reads the shared base array and
      scalar offset directly instead of paying a record access per
      lookup. [ar x] stays the exact [Latency_table.get] semantics —
@@ -107,7 +107,7 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
      heap and must project with zero latency-to-go. *)
   let ar_base = tab.Latency_table.base and ar_offset = tab.Latency_table.offset in
   let ar x = if x = dst then 0. else ar_base.(x) +. ar_offset in
-  Route_ctx.reset_search ctx;
+  Route_ctx.reset_search ctx ~n_nodes:n;
   let generated = ref 0 and expanded = ref 0 in
   (* Search-effort tallies, kept in locals on the hot path and flushed
      to the metrics registry once per call (§5.2: search effort, not
@@ -124,12 +124,14 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     if len > !heap_max then heap_max := len
   in
   if ar src <= latency_ms then begin
+    let id =
+      Route_ctx.add_label ctx ~parent:(-1) ~node:src ~via:(-1) ~hops:1
+        ~width:infinity ~lat:0. ~proj:(0. +. ar src)
+    in
     (* Label recording must track the flag: the unpruned reference
        mode would otherwise start with a seeded Pareto table. *)
-    if prune_dominated then Route_ctx.pareto_record ctx src ~width:infinity ~lat:0.;
-    push
-      (Route_ctx.add_label ctx ~parent:(-1) ~node:src ~via:(-1) ~hops:1
-         ~width:infinity ~lat:0. ~proj:(0. +. ar src))
+    if prune_dominated then Route_ctx.pareto_record ctx id;
+    push id
   end;
   let expand p =
     (* CSR slice walk: same arc order as [Graph.iter_adj] (the view
@@ -171,11 +173,12 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
               && Route_ctx.pareto_dominated ctx neighbor ~width ~lat:acc_latency
             then incr pruned_dominated
             else begin
-              if prune_dominated then
-                Route_ctx.pareto_record ctx neighbor ~width ~lat:acc_latency;
-              push
-                (Route_ctx.add_label ctx ~parent:p ~node:neighbor ~via:eid
-                   ~hops:(p_hops + 1) ~width ~lat:acc_latency ~proj)
+              let id =
+                Route_ctx.add_label ctx ~parent:p ~node:neighbor ~via:eid
+                  ~hops:(p_hops + 1) ~width ~lat:acc_latency ~proj
+              in
+              if prune_dominated then Route_ctx.pareto_record ctx id;
+              push id
             end
           end
         end
@@ -236,7 +239,6 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
     let ctx =
       match ctx with Some c -> c | None -> Route_ctx.create ()
     in
-    Route_ctx.bind ctx cluster;
     let csr = Cluster.csr cluster in
     let offsets = Csr.offsets csr
     and neighbors = Csr.neighbors csr
@@ -254,7 +256,7 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
       else None
     | None ->
       search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
-        ~prune_dominated ~src ~dst ~bandwidth_mbps ~latency_ms
+        ~prune_dominated ~n ~src ~dst ~bandwidth_mbps ~latency_ms
   end
 
 let widest_feasible ?ctx ~residual ~latency_tables ~src ~dst ~bandwidth_mbps

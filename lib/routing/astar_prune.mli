@@ -55,7 +55,7 @@ val route :
     endpoints, non-positive bandwidth, or negative latency bound.
 
     [ctx] is an optional reusable {!Route_ctx.t}: passing one lets
-    consecutive calls share the label arena, heap and Pareto pools
+    consecutive calls share the label arena, heap and Pareto sets
     instead of allocating per call. Omitting it allocates a fresh
     context — same results, no reuse. On graphs with no degree-1
     node other than the endpoints, the engine returns the same path as

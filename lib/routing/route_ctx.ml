@@ -1,19 +1,12 @@
-module Cluster = Hmn_testbed.Cluster
-module Csr = Hmn_graph.Csr
-module Dynarray = Hmn_dstruct.Dynarray
-
 type t = {
-  (* The CSR view the pools were last sized against. Physical identity
-     is the staleness test: defragmentation rebuilds residual clusters
-     (fresh Cluster.t, fresh Csr.t), so a pointer mismatch means every
-     pooled array may describe a graph that no longer exists. *)
-  mutable bound : Csr.t option;
   (* Label arena: struct-of-arrays, one row per generated label.
      [parent] is a label id (-1 at the origin), [node] the label's last
      node, [via] the edge id taken into [node] (-1 at the origin).
      [proj] caches acc_latency + ar(node) — the heap's second sort key,
      a pure function of the label, so the comparator never touches the
-     latency table. *)
+     latency table. [pnext] threads each node's Pareto set through the
+     arena: the next label id in the set of the label's node, -1 at the
+     end. *)
   mutable parent : int array;
   mutable node : int array;
   mutable via : int array;
@@ -21,23 +14,23 @@ type t = {
   mutable width : float array;
   mutable lat : float array;
   mutable proj : float array;
+  mutable pnext : int array;
   mutable n_labels : int;
   (* Open set: a binary min-heap of label ids ordered by
      (width desc, proj asc, hops asc) — the selection rule. *)
   mutable heap : int array;
   mutable heap_size : int;
-  (* Per-node Pareto sets, pooled: pairs are flattened as
-     [width, lat, width, lat, ...] in a per-node dynarray that is
-     created on a node's first label ever and then reused; [touched]
-     remembers which nodes must be wiped between searches. *)
-  mutable pareto : float Dynarray.t option array;
-  touched : int Dynarray.t;
+  (* Per-node Pareto set heads: [phead.(v)] is the first label id of
+     [v]'s set, read only while [pstamp.(v) = search]. Bumping [search]
+     empties every set at once. *)
+  mutable phead : int array;
+  mutable pstamp : int array;
+  mutable search : int;
   mutable fast_path_hits : int;
 }
 
 let create () =
   {
-    bound = None;
     parent = [||];
     node = [||];
     via = [||];
@@ -45,27 +38,17 @@ let create () =
     width = [||];
     lat = [||];
     proj = [||];
+    pnext = [||];
     n_labels = 0;
     heap = [||];
     heap_size = 0;
-    pareto = [||];
-    touched = Dynarray.create ();
+    phead = [||];
+    pstamp = [||];
+    search = 0;
     fast_path_hits = 0;
   }
 
 let fast_path_hits t = t.fast_path_hits
-
-let bind t cluster =
-  let csr = Cluster.csr cluster in
-  match t.bound with
-  | Some c when c == csr -> ()
-  | _ ->
-    t.bound <- Some csr;
-    (* Pool sizes are per-node: a different graph means different node
-       ids, so the pooled Pareto arrays are dropped wholesale rather
-       than risking a stale set surviving under a recycled id. *)
-    t.pareto <- Array.make (Csr.n_nodes csr) None;
-    Dynarray.reset t.touched
 
 (* ---- label arena ---- *)
 
@@ -80,7 +63,8 @@ let grow_labels t =
   t.hops <- grow_int t.hops;
   t.width <- grow_float t.width;
   t.lat <- grow_float t.lat;
-  t.proj <- grow_float t.proj
+  t.proj <- grow_float t.proj;
+  t.pnext <- grow_int t.pnext
 
 let add_label t ~parent ~node ~via ~hops ~width ~lat ~proj =
   if t.n_labels = Array.length t.parent then grow_labels t;
@@ -98,9 +82,8 @@ let add_label t ~parent ~node ~via ~hops ~width ~lat ~proj =
 (* Membership along a label's path: walk the parent chain. Paths in the
    fabrics this engine serves are a handful of hops, so the walk beats
    copying an n/8-byte bitset per generated label by a wide margin. *)
-let on_path t label v =
-  let rec go i = t.node.(i) = v || (t.parent.(i) >= 0 && go t.parent.(i)) in
-  go label
+let rec on_path t label v =
+  t.node.(label) = v || (t.parent.(label) >= 0 && on_path t t.parent.(label) v)
 
 (* ---- open set (binary min-heap of label ids) ---- *)
 
@@ -163,58 +146,47 @@ let heap_pop t =
     top
   end
 
-(* ---- Pareto pools ---- *)
+(* ---- Pareto sets ---- *)
 
-let pareto_of t v =
-  match t.pareto.(v) with
-  | Some d -> d
-  | None ->
-    let d = Dynarray.create () in
-    t.pareto.(v) <- Some d;
-    d
+let rec dominated_from t i ~width ~lat =
+  i >= 0
+  && ((t.width.(i) >= width && t.lat.(i) <= lat)
+     || dominated_from t t.pnext.(i) ~width ~lat)
 
 let pareto_dominated t v ~width ~lat =
-  match t.pareto.(v) with
-  | None -> false
-  | Some d ->
-    let n = Dynarray.length d in
-    let rec scan i =
-      i < n
-      && ((Dynarray.get d i >= width && Dynarray.get d (i + 1) <= lat)
-         || scan (i + 2))
-    in
-    scan 0
+  t.pstamp.(v) = t.search && dominated_from t t.phead.(v) ~width ~lat
 
-let pareto_record t v ~width ~lat =
-  let d = pareto_of t v in
-  let n = Dynarray.length d in
-  if n = 0 then Dynarray.push t.touched v
+let pareto_record t id =
+  let v = t.node.(id) in
+  if t.pstamp.(v) <> t.search then begin
+    t.pstamp.(v) <- t.search;
+    t.pnext.(id) <- -1
+  end
   else begin
-    (* Drop entries the new label dominates, compacting in place; most
-       insertions dominate nothing and leave the array untouched. *)
-    let keep = ref 0 in
-    for i = 0 to (n / 2) - 1 do
-      let b = Dynarray.get d (2 * i) and l = Dynarray.get d ((2 * i) + 1) in
-      if not (b <= width && l >= lat) then begin
-        if !keep <> i then begin
-          Dynarray.set d (2 * !keep) b;
-          Dynarray.set d ((2 * !keep) + 1) l
-        end;
-        incr keep
+    (* Unlink the entries the new label dominates; most insertions
+       dominate nothing and leave the list untouched. *)
+    let width = t.width.(id) and lat = t.lat.(id) in
+    let prev = ref (-1) and i = ref t.phead.(v) in
+    while !i >= 0 do
+      let next = t.pnext.(!i) in
+      if t.width.(!i) <= width && t.lat.(!i) >= lat then begin
+        if !prev < 0 then t.phead.(v) <- next else t.pnext.(!prev) <- next
       end
+      else prev := !i;
+      i := next
     done;
-    if 2 * !keep <> n then Dynarray.truncate d (2 * !keep)
+    t.pnext.(id) <- t.phead.(v)
   end;
-  Dynarray.push d width;
-  Dynarray.push d lat
+  t.phead.(v) <- id
 
 (* ---- per-search reset ---- *)
 
-let reset_search t =
+let reset_search t ~n_nodes =
   t.n_labels <- 0;
   t.heap_size <- 0;
-  Dynarray.iter
-    (fun v ->
-      match t.pareto.(v) with Some d -> Dynarray.reset d | None -> ())
-    t.touched;
-  Dynarray.reset t.touched
+  t.search <- t.search + 1;
+  (* Fresh stamps are 0, which no search after the bump can equal. *)
+  if Array.length t.phead < n_nodes then begin
+    t.phead <- Array.make n_nodes (-1);
+    t.pstamp <- Array.make n_nodes 0
+  end

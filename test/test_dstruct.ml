@@ -130,56 +130,33 @@ let test_ih_dijkstra_pattern () =
 
 let test_dyn_basic () =
   let d = Dynarray.create () in
-  Alcotest.(check bool) "empty" true (Dynarray.is_empty d);
+  Alcotest.(check int) "empty" 0 (Dynarray.length d);
   for i = 0 to 99 do
     Dynarray.push d i
   done;
   Alcotest.(check int) "length" 100 (Dynarray.length d);
   Alcotest.(check int) "get" 42 (Dynarray.get d 42);
   Dynarray.set d 42 (-1);
-  Alcotest.(check int) "set" (-1) (Dynarray.get d 42);
-  Alcotest.(check (option int)) "pop" (Some 99) (Dynarray.pop d);
-  Alcotest.(check int) "after pop" 99 (Dynarray.length d)
+  Alcotest.(check int) "set" (-1) (Dynarray.get d 42)
 
 let test_dyn_conversions () =
-  let d = Dynarray.of_array [| 1; 2; 3 |] in
+  let d = Dynarray.create () in
+  List.iter (Dynarray.push d) [ 1; 2; 3 ];
   Alcotest.(check (array int)) "roundtrip" [| 1; 2; 3 |] (Dynarray.to_array d);
   Alcotest.(check int) "fold" 6 (Dynarray.fold_left ( + ) 0 d);
   let acc = ref [] in
   Dynarray.iter (fun x -> acc := x :: !acc) d;
-  Alcotest.(check (list int)) "iter order" [ 3; 2; 1 ] !acc;
-  Dynarray.clear d;
-  Alcotest.(check bool) "clear" true (Dynarray.is_empty d)
+  Alcotest.(check (list int)) "iter order" [ 3; 2; 1 ] !acc
 
 let test_dyn_errors () =
-  let d = Dynarray.of_array [| 1 |] in
+  let d = Dynarray.create () in
+  Dynarray.push d 1;
   Alcotest.check_raises "get oob"
     (Invalid_argument "Dynarray.get: index out of bounds") (fun () ->
       ignore (Dynarray.get d 1));
   Alcotest.check_raises "set oob"
     (Invalid_argument "Dynarray.set: index out of bounds") (fun () ->
-      Dynarray.set d (-1) 0);
-  ignore (Dynarray.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Dynarray.pop d)
-
-let test_dyn_reset_truncate () =
-  let d = Dynarray.of_array [| 1; 2; 3; 4; 5 |] in
-  Dynarray.truncate d 3;
-  Alcotest.(check (array int)) "truncated" [| 1; 2; 3 |] (Dynarray.to_array d);
-  (* Truncation keeps storage: pushes refill the vacated slots. *)
-  Dynarray.push d 9;
-  Alcotest.(check (array int)) "refilled" [| 1; 2; 3; 9 |] (Dynarray.to_array d);
-  Alcotest.check_raises "truncate beyond length"
-    (Invalid_argument "Dynarray.truncate: bad length") (fun () ->
-      Dynarray.truncate d 5);
-  Alcotest.check_raises "negative truncate"
-    (Invalid_argument "Dynarray.truncate: bad length") (fun () ->
-      Dynarray.truncate d (-1));
-  Dynarray.reset d;
-  Alcotest.(check bool) "reset empties" true (Dynarray.is_empty d);
-  Dynarray.push d 7;
-  Alcotest.(check (array int)) "reusable after reset" [| 7 |]
-    (Dynarray.to_array d)
+      Dynarray.set d (-1) 0)
 
 (* ---- Bitset ---- *)
 
@@ -281,7 +258,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_dyn_basic;
           Alcotest.test_case "conversions" `Quick test_dyn_conversions;
           Alcotest.test_case "errors" `Quick test_dyn_errors;
-          Alcotest.test_case "reset & truncate" `Quick test_dyn_reset_truncate;
         ] );
       ( "bitset",
         [

@@ -271,9 +271,9 @@ let test_defrag_round_lowers_lbf () =
 
 (* One routing context reused across a defrag commit: the commit
    rebuilds the residual cluster ([Occupancy.residual_cluster] returns
-   a fresh object), so [Route_ctx.bind] must resize the pools, and each
-   route through the shared context must equal a fresh context's —
-   path and search statistics alike. *)
+   a fresh object), and no per-node search state may carry over from
+   the old one, so each route through the shared context must equal a
+   fresh context's — path and search statistics alike. *)
 let test_defrag_ctx_rebinds () =
   let occ = Occupancy.create (ring_cluster ()) in
   Occupancy.admit occ (solo_tenant ~id:0 ~host:0 ~mips:400. ~mem:200.);

@@ -696,6 +696,106 @@ let prop_arena_engine_bit_identical =
       done;
       !ok)
 
+(* One context for every query while the clusters it routes on grow and
+   then shrink (size 2, 3, 4, 3, 2 of a random torus, Clos or tree
+   shape, so node counts strictly rise and fall). Per-node Pareto
+   state is indexed by node id: a set surviving from an earlier search
+   or cluster would prune a label it must not, and node arrays sized
+   for a smaller cluster would fail. Each route, pruned or not, must
+   equal a fresh context's in path and search statistics; found paths
+   are reserved so later queries see drained links. *)
+let prop_ctx_reuse_across_clusters =
+  QCheck.Test.make
+    ~name:"one context reused across growing and shrinking clusters routes like a fresh one"
+    ~count:40 (QCheck.int_bound 9999)
+    (fun seed ->
+      let rng = Hmn_rng.Rng.create (seed + 12_000) in
+      let ctx = Hmn_routing.Route_ctx.create () in
+      let link () =
+        Link.make ~bandwidth_mbps:100.
+          ~latency_ms:[| 1.25; 2.5; 5. |].(Hmn_rng.Rng.int rng ~bound:3)
+      in
+      let cluster_of_size size =
+        match Hmn_rng.Rng.int rng ~bound:3 with
+        | 0 ->
+          Hmn_testbed.Cluster_gen.torus_cluster ~link:(link ()) ~rows:size
+            ~cols:size ~rng ()
+        | 1 ->
+          Hmn_testbed.Cluster_gen.clos_cluster ~link:(link ()) ~racks:size
+            ~hosts_per_rack:size ~spines:2 ~rng ()
+        | _ -> tree_cluster ~star:(Hmn_rng.Rng.bool rng) ~n:(size * size) ~rng
+      in
+      let stats (s : Astar.stats) = (s.Astar.expanded, s.Astar.generated) in
+      List.for_all
+        (fun size ->
+          let cluster = cluster_of_size size in
+          let n = Graph.n_nodes (Cluster.graph cluster) in
+          let residual = Residual.create cluster in
+          let tables = Latency_table.create cluster in
+          List.for_all
+            (fun _ ->
+              let src = Hmn_rng.Rng.int rng ~bound:n in
+              let dst = Hmn_rng.Rng.int rng ~bound:n in
+              let bandwidth_mbps = 5. +. (40. *. Hmn_rng.Rng.float rng) in
+              let latency_ms = 2. +. (12. *. Hmn_rng.Rng.float rng) in
+              let prune_dominated = Hmn_rng.Rng.bool rng in
+              let route ctx =
+                Astar.route ~prune_dominated ~ctx ~residual ~latency_tables:tables
+                  ~src ~dst ~bandwidth_mbps ~latency_ms ()
+              in
+              match (route ctx, route (Hmn_routing.Route_ctx.create ())) with
+              | None, None -> true
+              | Some (p, s), Some (q, s') ->
+                if not (Path.is_intra_host p) then
+                  ignore (Residual.reserve_path residual p bandwidth_mbps);
+                p.Path.nodes = q.Path.nodes
+                && p.Path.edges = q.Path.edges
+                && stats s = stats s'
+              | _ -> false)
+            (List.init 10 Fun.id))
+        [ 2; 3; 4; 3; 2 ])
+
+(* Pareto-set bookkeeping on one node, driven directly: a recorded
+   label unlinks the labels it dominates and keeps incomparable ones,
+   and the next search starts with every set empty, including on a
+   larger node range. *)
+let test_ctx_pareto_set () =
+  let module C = Hmn_routing.Route_ctx in
+  let ctx = C.create () in
+  C.reset_search ctx ~n_nodes:2;
+  let record ~width ~lat =
+    let id =
+      C.add_label ctx ~parent:(-1) ~node:1 ~via:(-1) ~hops:1 ~width ~lat ~proj:lat
+    in
+    C.pareto_record ctx id;
+    id
+  in
+  let members () =
+    let rec go i acc = if i < 0 then acc else go ctx.C.pnext.(i) (i :: acc) in
+    List.sort Int.compare (go ctx.C.phead.(1) [])
+  in
+  let a = record ~width:10. ~lat:5. in
+  let b = record ~width:20. ~lat:9. in
+  Alcotest.(check (list int)) "incomparable labels both kept" [ a; b ] (members ());
+  Alcotest.(check bool) "dominated by a" true
+    (C.pareto_dominated ctx 1 ~width:10. ~lat:6.);
+  Alcotest.(check bool) "dominated by b" true
+    (C.pareto_dominated ctx 1 ~width:15. ~lat:9.);
+  Alcotest.(check bool) "not dominated" false
+    (C.pareto_dominated ctx 1 ~width:15. ~lat:6.);
+  Alcotest.(check bool) "other node empty" false
+    (C.pareto_dominated ctx 0 ~width:0. ~lat:infinity);
+  let c = record ~width:20. ~lat:7. in
+  Alcotest.(check (list int)) "c unlinks b only" [ a; c ] (members ());
+  let d = record ~width:20. ~lat:5. in
+  Alcotest.(check (list int)) "d unlinks the rest" [ d ] (members ());
+  C.reset_search ctx ~n_nodes:2;
+  Alcotest.(check bool) "reset empties the set" false
+    (C.pareto_dominated ctx 1 ~width:0. ~lat:infinity);
+  C.reset_search ctx ~n_nodes:5;
+  Alcotest.(check bool) "grown node range starts empty" false
+    (C.pareto_dominated ctx 4 ~width:0. ~lat:infinity)
+
 let test_ctx_dead_end_leaves () =
   (* A small Clos: hosts 0, 1 on leaf 4 and hosts 2, 3 on leaf 5, both
      leaves wired to spines 6 and 7, all links 1 ms. Every link is
@@ -945,6 +1045,8 @@ let () =
             test_ctx_fast_path_meets_at_hub;
           Alcotest.test_case "fast path declines ambiguity" `Quick
             test_ctx_fast_path_declines_ambiguity;
+          Alcotest.test_case "pareto set links and unlinks" `Quick
+            test_ctx_pareto_set;
         ] );
       ( "dijkstra_route",
         [
@@ -969,5 +1071,6 @@ let () =
           q prop_dijkstra_route_is_minimal_latency;
           q prop_landmark_tables_equal_direct_dijkstra;
           q prop_arena_engine_bit_identical;
+          q prop_ctx_reuse_across_clusters;
         ] );
     ]
