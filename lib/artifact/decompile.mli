@@ -25,11 +25,16 @@ type vm = {
   bridge : string;
 }
 
-type cls = {
-  minor : int;  (** HTB class minor id *)
-  vlink : int;  (** joined back via the fw-filter handle *)
-  rate_mbps : float;
-  delay_ms : float;  (** the class's netem stage *)
+(** Every shaping class of the bundle, in emission order, one array per
+    field (all the same length). *)
+type classes = {
+  minor : int array;  (** HTB class minor id *)
+  vlink : int array;  (** joined back via the fw-filter handle *)
+  rate_mbps : float array;
+  ceil_mbps : float array;
+      (** the class's HTB ceil; the rate where the line gives none (tc's
+          default) and in the JSON grammar, which has no ceil *)
+  delay_ms : float array;  (** the class's netem stage *)
 }
 
 type shaped_link = {
@@ -38,7 +43,11 @@ type shaped_link = {
   v : int;
   capacity_mbps : float;
   link_delay_ms : float;
-  classes : cls list;  (** in emission order *)
+  first_class : int;
+  n_classes : int;
+      (** the link's classes are entries [first_class] to
+          [first_class + n_classes - 1] of {!t.classes}, in emission
+          order *)
 }
 
 type bridge = {
@@ -56,6 +65,7 @@ type t = {
   vms : vm list;  (** in emission order *)
   bridges : bridge list;
   links : shaped_link list;
+  classes : classes;  (** every link's classes, link after link *)
   problem : Hmn_prelude.Json.t option;  (** manifest ["problem"], full scope *)
   venv : Hmn_prelude.Json.t option;  (** manifest ["venv"], tenant scope *)
   counts : (string * int) list;  (** manifest ["counts"] *)
@@ -70,7 +80,9 @@ val run : files:(string * string) list -> (t, string) result
     raises: unreadable input is an [Error] that names the file and, in
     the shell grammar, the line (in the JSON grammar, the parser's byte
     offset). The shell files are scanned in place — lines and tokens
-    are ranges of the text, and only kept values are copied. *)
+    are ranges of the text, a line is dispatched once on its first
+    tokens, decimal integers are read without copying, and only kept
+    values are copied. *)
 
 val read_dir : dir:string -> ((string * string) list, string) result
 (** Load the bundle files of [dir] (manifest first) for {!run}. *)

@@ -18,12 +18,26 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** [pretty] (default false) adds newlines and two-space indent. *)
 
+val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
+(** [to_string], appended to a buffer. *)
+
 val number_to_string : float -> string
 (** How every number is printed: an integral value below 1e15 in
     magnitude as its digits (["%.0f"], so negative zero is ["-0"]),
     anything else as ["%.17g"], which [float_of_string] reads back to
     the same double. The one number format of the JSON printer, the
-    artifact grammar and the journal. *)
+    artifact grammar and the journal.
+
+    Implementation note: for finite 1e-6 <= |x| < 2^53 the ["%.17g"]
+    digits are computed without libc. With e the decimal exponent of
+    |x| and s = 16 - e <= 22, p = 10^s is an exact double,
+    [hi = |x| *. p] and [lo = Float.fma |x| p (-. hi)] give
+    |x| * 10^s = hi + lo exactly, and hi >= 10^16 is an integer, so
+    rounding [lo] half-even yields the correctly rounded 17 digits; an
+    exponent off by one shows as hi + lo outside [10^16, 10^17) and is
+    corrected. The digits are laid out by C's [%g] rules. Every other
+    input goes through the runtime's [caml_format_float], the only
+    path for it. *)
 
 val equal : t -> t -> bool
 (** [equal a b] holds exactly when [to_string a = to_string b]: the

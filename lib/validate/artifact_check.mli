@@ -15,9 +15,14 @@
     - per physical link: exactly one shaping class per routed virtual
       link, with the deterministic class minor, a rate equal to the
       link's reserved bandwidth (and their sum equal to the Networking
-      reservation within the ledger tolerance), and a netem delay equal
-      to the physical link's latency — so each virtual link's latency
-      along its route equals the sum of its netem stages;
+      reservation within the ledger tolerance), an HTB ceil equal to
+      that same reserved rate (a ceil above it lets the class borrow
+      past its reservation, breaking Eqs. 6–7; a shell class line
+      without a ceil has tc's default, the rate, and the JSON grammar
+      has no ceil, so there the ceil reads as the rate), and a netem
+      delay equal to the physical link's latency — so each virtual
+      link's latency along its route equals the sum of its netem
+      stages;
     - the manifest's embedded problem (or tenant virtual environment)
       prints byte-identically to a fresh canonical serialization
       (compared with [Hmn_prelude.Json.equal], without printing), and
@@ -26,7 +31,10 @@
     Numbers are compared {e exactly} where the emission grammar is
     lossless (it is — see [Hmn_prelude.Json.number_to_string]); only per-link rate {e sums}
     get the accounting tolerance, mirroring [Validator]'s residual
-    policy. Never raises. *)
+    policy. Never raises. One check costs O(guests + vlinks × hops +
+    classes + ports) on flat arrays: the expected classes are a CSR
+    from edge to routed vlinks, and ports are matched by the ids their
+    names spell. *)
 
 type violation =
   | Schema_mismatch of { expected : int; found : int }
@@ -58,6 +66,9 @@ type violation =
   | Class_duplicated of { edge : int; vlink : int }
   | Class_id_mismatch of { edge : int; vlink : int; minor : int; expected : int }
   | Rate_mismatch of { edge : int; vlink : int; artifact : float; reserved : float }
+  | Ceil_mismatch of { edge : int; vlink : int; artifact : float; reserved : float }
+      (** the class's HTB ceil is not its reserved rate: a class could
+          borrow past its reservation, which Eqs. 6–7 forbid *)
   | Rate_sum_mismatch of { edge : int; artifact : float; reserved : float }
       (** summed shaped rates off the Networking reservation by more
           than the ledger tolerance *)

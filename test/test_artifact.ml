@@ -152,6 +152,33 @@ let test_tampered_rate () =
     "no guest or class noise" true
     (not (List.mem "guest-missing" ls || List.mem "class-duplicated" ls))
 
+(* replace the digits of the first "ceil <num>mbit" in net.sh: a class
+   that may borrow past its reservation *)
+let tamper_ceil content =
+  let needle = "ceil " in
+  let rec find from =
+    match String.index_from_opt content from 'c' with
+    | None -> Alcotest.fail "no ceil to tamper"
+    | Some j ->
+      if
+        j + String.length needle <= String.length content
+        && String.sub content j (String.length needle) = needle
+      then j + String.length needle
+      else find (j + 1)
+  in
+  let i = find 0 in
+  let j = String.index_from content i 'm' in
+  String.sub content 0 i ^ "99999" ^ String.sub content j (String.length content - j)
+
+let test_tampered_ceil () =
+  let mapping = sample_mapping () in
+  let b = Compile.of_mapping ~format:Spec.Shell mapping in
+  let files = with_file "net.sh" tamper_ceil b.Compile.files in
+  let report = corrupted_report mapping files in
+  Alcotest.(check (list string)) "flags only ceil-mismatch" [ "ceil-mismatch" ]
+    (labels report);
+  Alcotest.(check int) "once" 1 (List.length report.Check.violations)
+
 let test_dropped_vm_line () =
   let mapping = sample_mapping () in
   let b = Compile.of_mapping ~format:Spec.Shell mapping in
@@ -449,6 +476,87 @@ let prop_hostile_bundles =
         in
         located || QCheck.Test.fail_reportf "unlocated error %S" msg)
 
+(* The parent's decompiler and checker (reference_decompile.ml,
+   reference_artifact_check.ml) as oracles: on every mutated bundle, in
+   both grammars and both scopes, the two pipelines give the same Error
+   text, or the same violations in the same order with the same counts.
+   The one difference allowed is the class ceil, which only the new
+   decompiler reads: its Ceil_mismatch violations are dropped before the
+   comparison, and where it alone fails, its error must be the ceil's
+   ("net class ceil"). *)
+let prop_matches_reference_checker =
+  let mapping = sample_mapping ~seed:11 ~guests:16 () in
+  let cluster, venv, hosts, paths = tenant_pieces mapping in
+  let bundles =
+    List.concat_map
+      (fun format ->
+        [
+          (Compile.of_mapping ~format mapping).Compile.files;
+          (Compile.of_tenant ~format ~cluster ~venv ~id:3 ~hosts ~paths ()).Compile.files;
+        ])
+      [ Spec.Shell; Spec.Json ]
+  in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  QCheck.Test.make ~name:"decompile and check agree with the old pipeline on mutated bundles"
+    ~count:1500
+    (QCheck.make
+       ~print:(fun (b, f, ms) ->
+         Printf.sprintf "bundle %d file %d: %s" b f
+           (String.concat ", " (List.map show_mutation ms)))
+       QCheck.Gen.(
+         triple (int_bound 3) (int_bound 2) (list_size (int_range 1 3) gen_mutation)))
+    (fun (b, f, ms) ->
+      let files = List.nth bundles b in
+      let name = fst (List.nth files f) in
+      let files =
+        List.map
+          (fun (n, c) ->
+            if n = name then (n, List.fold_left apply_mutation c ms) else (n, c))
+          files
+      in
+      let full = b mod 2 = 0 in
+      let ceil_error msg = contains ~sub:"net class ceil" msg in
+      match (Decompile.run ~files, Reference_decompile.run ~files) with
+      | Error e, Error e' ->
+        e = e' || ceil_error e
+        || QCheck.Test.fail_reportf "errors differ:\n%s\n%s" e e'
+      | Error e, Ok _ ->
+        ceil_error e || QCheck.Test.fail_reportf "only the new decompiler fails: %s" e
+      | Ok _, Error e' -> QCheck.Test.fail_reportf "only the old decompiler fails: %s" e'
+      | Ok d, Ok d' ->
+        let r =
+          if full then Check.check ~mapping d
+          else Check.check_tenant ~cluster ~venv ~hosts ~paths d
+        in
+        let r' =
+          if full then Reference_artifact_check.check ~mapping d'
+          else Reference_artifact_check.check_tenant ~cluster ~venv ~hosts ~paths d'
+        in
+        let shown =
+          List.filter_map (fun v ->
+              match v with
+              | Check.Ceil_mismatch _ -> None
+              | v -> Some (Check.violation_label v, Format.asprintf "%a" Check.pp_violation v))
+            r.Check.violations
+        in
+        let shown' =
+          List.map
+            (fun v ->
+              ( Reference_artifact_check.violation_label v,
+                Format.asprintf "%a" Reference_artifact_check.pp_violation v ))
+            r'.Reference_artifact_check.violations
+        in
+        (shown = shown'
+        && r.Check.launches_checked = r'.Reference_artifact_check.launches_checked
+        && r.Check.classes_checked = r'.Reference_artifact_check.classes_checked)
+        || QCheck.Test.fail_reportf "reports differ:\n%s\n---\n%s"
+             (Format.asprintf "%a" Check.pp_report r)
+             (Format.asprintf "%a" Reference_artifact_check.pp_report r'))
+
 let test_shell_error_names_line () =
   let b = Compile.of_mapping ~format:Spec.Shell (sample_mapping ()) in
   let files =
@@ -513,12 +621,14 @@ let () =
       ( "corruptions",
         [
           Alcotest.test_case "tampered rate" `Quick test_tampered_rate;
+          Alcotest.test_case "tampered ceil" `Quick test_tampered_ceil;
           Alcotest.test_case "dropped VM line" `Quick test_dropped_vm_line;
           Alcotest.test_case "duplicated qdisc class" `Quick test_duplicated_class;
           Alcotest.test_case "tampered schema version" `Quick test_tampered_schema;
           Alcotest.test_case "shell error names its line" `Quick
             test_shell_error_names_line;
           q prop_hostile_bundles;
+          q prop_matches_reference_checker;
         ] );
       ( "tenant",
         [

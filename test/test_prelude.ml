@@ -397,6 +397,39 @@ let prop_number_rule =
   QCheck.Test.make ~name:"number_to_string matches the old Printf rule" ~count:5000
     arb_float (fun x -> Json.number_to_string x = Reference_json.number_to_string x)
 
+(* Numbers where the renderer's own %.17g runs: magnitudes in
+   [1e-6, 2^53) drawn uniformly and log-uniformly, the doubles beside
+   every power of ten in reach and beside the range's edges, negatives,
+   and exact ties at the 17th digit: n / 2^m with n * 5^m of 18 digits,
+   so the digit past the 17th is a 5 followed by nothing. *)
+let gen_fast_float =
+  QCheck.Gen.(
+    let neighbours x = oneofl [ Float.pred x; x; Float.succ x ] in
+    let tie =
+      int_range 1 55 >>= fun m ->
+      let scale = 5. ** float_of_int m in
+      let lo = Float.ceil (1e17 /. scale) and hi = Float.floor (1e18 /. scale) in
+      if hi < lo || hi >= 0x1p53 then return 0.5
+      else map (fun u -> Float.ldexp (Float.round (lo +. (u *. (hi -. lo)))) (-m)) (float_bound_inclusive 1.)
+    in
+    let magnitude =
+      frequency
+        [
+          (3, float_range 1e-6 0x1p53);
+          (3, map (fun e -> 10. ** e) (float_range (-6.) 15.95));
+          (2, int_range (-6) 16 >>= fun k -> neighbours (10. ** float_of_int k));
+          (1, oneofl [ 1e-6; 0x1p53 ] >>= neighbours);
+          (2, tie);
+        ]
+    in
+    map2 (fun neg x -> if neg then Float.neg x else x) bool magnitude)
+
+let prop_number_rule_fast_range =
+  QCheck.Test.make ~name:"number_to_string matches the old rule where it computes digits"
+    ~count:300_000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) gen_fast_float)
+    (fun x -> Json.number_to_string x = Reference_json.number_to_string x)
+
 let test_number_edges () =
   List.iter
     (fun x ->
@@ -703,6 +736,7 @@ let () =
           Alcotest.test_case "deep indentation" `Quick test_deep_indent;
           Alcotest.test_case "nesting limit" `Quick test_nesting_limit;
           q prop_number_rule;
+          q prop_number_rule_fast_range;
           q prop_equal_is_printed_equality;
           q prop_printer_matches_old;
           q prop_parser_matches_old;
