@@ -9,10 +9,18 @@ let format_of_name = function
 
 let schema_version = 1
 
-let host_bridge i = "br-h" ^ string_of_int i
-let switch_bridge i = "br-s" ^ string_of_int i
-let port eid = "pe" ^ string_of_int eid
-let iface guest = "vif" ^ string_of_int guest ^ ".0"
+type affixes = { prefix : string; suffix : string }
+
+let host_bridge_affixes = { prefix = "br-h"; suffix = "" }
+let switch_bridge_affixes = { prefix = "br-s"; suffix = "" }
+let port_affixes = { prefix = "pe"; suffix = "" }
+let iface_affixes = { prefix = "vif"; suffix = ".0" }
+
+let name a i = a.prefix ^ string_of_int i ^ a.suffix
+let host_bridge = name host_bridge_affixes
+let switch_bridge = name switch_bridge_affixes
+let port = name port_affixes
+let iface = name iface_affixes
 
 let minor_base = 16
 let minor_of_rank rank = minor_base + rank

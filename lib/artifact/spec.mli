@@ -38,6 +38,15 @@ val schema_version : int
 (** Version of the emission grammar, recorded in the manifest and
     checked by {!Decompile}. *)
 
+(** The fixed text around the id in a name: a name is
+    [prefix ^ string_of_int id ^ suffix]. *)
+type affixes = { prefix : string; suffix : string }
+
+val host_bridge_affixes : affixes
+val switch_bridge_affixes : affixes
+val port_affixes : affixes
+val iface_affixes : affixes
+
 val host_bridge : int -> string
 val switch_bridge : int -> string
 val port : int -> string
