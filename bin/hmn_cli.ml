@@ -20,6 +20,27 @@ open Cmdliner
 
 (* ---- shared options ---- *)
 
+(* [conv] restricted to the values [ok] accepts: anything else is a
+   usage error (exit 2), not an exception from inside the library. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let positive_float =
+  checked Arg.float ~expected:"a positive finite number" (fun x ->
+      Float.is_finite x && x > 0.)
+
+let unit_float =
+  checked Arg.float ~expected:"a number in [0, 1]" (fun x -> x >= 0. && x <= 1.)
+
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc:"Random seed.")
 
@@ -34,11 +55,13 @@ let cluster_t =
     & info [ "cluster" ] ~docv:"torus|switched" ~doc:"Physical topology.")
 
 let guests_t =
-  Arg.(value & opt int 200 & info [ "guests"; "n" ] ~docv:"INT" ~doc:"Number of guests.")
+  Arg.(
+    value & opt positive_int 200
+    & info [ "guests"; "n" ] ~docv:"INT" ~doc:"Number of guests.")
 
 let density_t =
   Arg.(
-    value & opt float 0.02
+    value & opt unit_float 0.02
     & info [ "density" ] ~docv:"FLOAT" ~doc:"Virtual graph edge density.")
 
 let workload_t =
@@ -54,15 +77,11 @@ let workload_t =
 let build_problem ~seed ~cluster_kind ~guests ~density ~workload =
   let rng = Hmn_rng.Rng.create seed in
   let cluster = Hmn_experiments.Scenario.build_cluster cluster_kind ~rng in
-  let profile =
-    match workload with
-    | Hmn_experiments.Scenario.High_level -> Hmn_vnet.Workload.high_level
-    | Hmn_experiments.Scenario.Low_level -> Hmn_vnet.Workload.low_level
-  in
   let venv =
     Hmn_vnet.Venv_gen.generate
       ~scale_to_fit:(cluster, Hmn_experiments.Setup.fit_fraction)
-      ~profile ~n:guests ~density ~rng ()
+      ~profile:(Hmn_experiments.Scenario.workload_profile workload)
+      ~n:guests ~density ~rng ()
   in
   Hmn_mapping.Problem.make ~cluster ~venv
 
@@ -333,23 +352,28 @@ let fuzz_cmd =
       & info [ "cluster" ] ~docv:"torus|switched" ~doc:"Pin the cluster shape.")
   in
   let rows_t =
-    Arg.(value & opt int 3 & info [ "rows" ] ~docv:"INT" ~doc:"Torus rows (pinned mode).")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "rows" ] ~docv:"INT" ~doc:"Torus rows (pinned mode).")
   in
   let cols_t =
-    Arg.(value & opt int 3 & info [ "cols" ] ~docv:"INT" ~doc:"Torus cols (pinned mode).")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "cols" ] ~docv:"INT" ~doc:"Torus cols (pinned mode).")
   in
   let hosts_t =
     Arg.(
-      value & opt int 8 & info [ "hosts" ] ~docv:"INT" ~doc:"Switched hosts (pinned mode).")
+      value & opt positive_int 8
+      & info [ "hosts" ] ~docv:"INT" ~doc:"Switched hosts (pinned mode).")
   in
   let pin_guests_t =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "guests"; "n" ] ~docv:"INT" ~doc:"Pin the number of guests.")
   in
   let pin_density_t =
     Arg.(
-      value & opt (some float) None
+      value & opt (some unit_float) None
       & info [ "density" ] ~docv:"FLOAT" ~doc:"Pin the virtual edge density.")
   in
   let pin_workload_t =
@@ -544,27 +568,103 @@ let ablation_cmd =
        ~doc:"Run the Migration / routing-metric / topology ablation studies.")
     Term.(const run $ reps_t $ which_t)
 
-(* ---- online ---- *)
+(* ---- online and slo ---- *)
 
 (* The pinned session behind [online --smoke] and [slo --smoke]: small
    enough for CI, busy enough to exercise admission, rejection,
    departures and defragmentation. *)
-let smoke_setup ~defrag ~defrag_on_reject ~validate =
+let smoke_session () =
   ( Hmn_testbed.Cluster_gen.torus_cluster ~rows:3 ~cols:4 ~rng:(Hmn_rng.Rng.create 7) (),
     {
-      Hmn_online.Service.seed = 11;
+      Hmn_online.Service.default_config with
+      seed = 11;
       arrival_rate_per_s = 1. /. 45.;
       mean_holding_s = 300.;
       duration_s = 1800.;
       guests_lo = 3;
       guests_hi = 6;
-      density = 0.3;
-      profile = Hmn_vnet.Workload.high_level;
       scale_frac = 0.3;
-      defrag;
-      defrag_on_reject;
-      validate;
     } )
+
+(* The seeded tenant stream [online] and [slo] both drive: the cluster
+   and a session config with the service's default defragmentation, no
+   defrag-assisted admission and no validation. *)
+let session_t =
+  let d = Hmn_online.Service.default_config in
+  let rate_t =
+    Arg.(
+      value & opt positive_float d.arrival_rate_per_s
+      & info [ "rate" ] ~docv:"FLOAT"
+          ~doc:"Base arrival rate, requests per simulated second.")
+  in
+  let holding_t =
+    Arg.(
+      value & opt positive_float d.mean_holding_s
+      & info [ "holding" ] ~docv:"SECONDS" ~doc:"Mean tenant holding time (exponential).")
+  in
+  let duration_t =
+    Arg.(
+      value & opt float d.duration_s
+      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival horizon (simulated).")
+  in
+  let guests_lo_t =
+    Arg.(
+      value & opt positive_int d.guests_lo
+      & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
+  in
+  let guests_hi_t =
+    Arg.(
+      value & opt positive_int d.guests_hi
+      & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
+  in
+  let density_t =
+    Arg.(
+      value & opt unit_float d.density
+      & info [ "density" ] ~docv:"FLOAT" ~doc:"Virtual edge density within each tenant.")
+  in
+  let scale_t =
+    Arg.(
+      value & opt positive_float d.scale_frac
+      & info [ "scale" ] ~docv:"FRACTION"
+          ~doc:"Per-tenant feasibility calibration against the full cluster.")
+  in
+  let make seed cluster_kind workload arrival_rate_per_s mean_holding_s duration_s
+      guests_lo guests_hi density scale_frac =
+    if guests_lo > guests_hi then
+      `Error (true, "--guests-lo must not exceed --guests-hi")
+    else
+      `Ok
+        ( Hmn_experiments.Scenario.build_cluster cluster_kind
+            ~rng:(Hmn_rng.Rng.create seed),
+          {
+            d with
+            seed;
+            arrival_rate_per_s;
+            mean_holding_s;
+            duration_s;
+            guests_lo;
+            guests_hi;
+            density;
+            profile = Hmn_experiments.Scenario.workload_profile workload;
+            scale_frac;
+          } )
+  in
+  Term.(
+    ret
+      (const make $ seed_t $ cluster_t $ workload_t $ rate_t $ holding_t
+      $ duration_t $ guests_lo_t $ guests_hi_t $ density_t $ scale_t))
+
+let loads_t =
+  Arg.(
+    value
+    & opt (list positive_float) Hmn_experiments.Online_report.default_loads
+    & info [ "loads" ] ~docv:"X,Y,..."
+        ~doc:"Offered-load multipliers on the base arrival rate.")
+
+let report_csv_t =
+  Arg.(
+    value & opt (some string) None
+    & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the report cells as CSV.")
 
 let online_cmd =
   let module Service = Hmn_online.Service in
@@ -582,44 +682,12 @@ let online_cmd =
              Repeatable with $(b,--report); default HMN, or HMN,R,HS for a \
              report.")
   in
-  let rate_t =
-    Arg.(
-      value & opt float (1. /. 30.)
-      & info [ "rate" ] ~docv:"FLOAT" ~doc:"Arrival rate, requests per simulated second.")
-  in
-  let holding_t =
-    Arg.(
-      value & opt float 600.
-      & info [ "holding" ] ~docv:"SECONDS" ~doc:"Mean tenant holding time (exponential).")
-  in
-  let duration_t =
-    Arg.(
-      value & opt float 3600.
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival horizon (simulated).")
-  in
-  let guests_lo_t =
-    Arg.(value & opt int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
-  in
-  let guests_hi_t =
-    Arg.(value & opt int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
-  in
-  let online_density_t =
-    Arg.(
-      value & opt float 0.3
-      & info [ "density" ] ~docv:"FLOAT" ~doc:"Virtual edge density within each tenant.")
-  in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~docv:"FRACTION"
-          ~doc:"Per-tenant feasibility calibration against the full cluster.")
-  in
   let no_defrag_t =
     Arg.(value & flag & info [ "no-defrag" ] ~doc:"Disable periodic defragmentation.")
   in
   let defrag_interval_t =
     Arg.(
-      value & opt float 120.
+      value & opt positive_float 120.
       & info [ "defrag-interval" ] ~docv:"SECONDS" ~doc:"Simulated seconds between defrag checks.")
   in
   let defrag_trigger_t =
@@ -658,17 +726,6 @@ let online_cmd =
       value & flag
       & info [ "report" ]
           ~doc:"Run the policy-comparison grid instead of a single session.")
-  in
-  let loads_t =
-    Arg.(
-      value & opt (list float) Hmn_experiments.Online_report.default_loads
-      & info [ "loads" ] ~docv:"X,Y,..."
-          ~doc:"Offered-load multipliers for $(b,--report).")
-  in
-  let csv_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the report cells as CSV.")
   in
   let events_t =
     Arg.(
@@ -724,15 +781,9 @@ let online_cmd =
              round-trip checker at write time. Progress goes to stderr; the \
              session summary is unchanged.")
   in
-  let run seed cluster_kind workload policies rate holding duration guests_lo
-      guests_hi density scale no_defrag defrag_interval defrag_trigger
+  let run session policies no_defrag defrag_interval defrag_trigger
       defrag_moves validate smoke report loads csv events timeline trace_out
       prom defrag_on_reject export_on_admit =
-    let profile =
-      match workload with
-      | Hmn_experiments.Scenario.High_level -> Hmn_vnet.Workload.high_level
-      | Hmn_experiments.Scenario.Low_level -> Hmn_vnet.Workload.low_level
-    in
     let defrag =
       if no_defrag then None
       else
@@ -743,25 +794,9 @@ let online_cmd =
             max_moves_per_round = defrag_moves;
           }
     in
-    let cluster, config =
-      if smoke then smoke_setup ~defrag ~defrag_on_reject ~validate:true
-      else
-        ( Hmn_experiments.Scenario.build_cluster cluster_kind
-            ~rng:(Hmn_rng.Rng.create seed),
-          {
-            Service.seed;
-            arrival_rate_per_s = rate;
-            mean_holding_s = holding;
-            duration_s = duration;
-            guests_lo;
-            guests_hi;
-            density;
-            profile;
-            scale_frac = scale;
-            defrag;
-            defrag_on_reject;
-            validate;
-          } )
+    let cluster, config = if smoke then smoke_session () else session in
+    let config =
+      { config with Service.defrag; defrag_on_reject; validate = smoke || validate }
     in
     if Sys.getenv_opt "HMN_METRICS" <> None || prom <> None then begin
       Metrics.enable ();
@@ -906,10 +941,9 @@ let online_cmd =
           defragmentation; $(b,--report) compares admission policies across \
           offered-load levels.")
     Term.(
-      const run $ seed_t $ cluster_t $ workload_t $ policy_t $ rate_t
-      $ holding_t $ duration_t $ guests_lo_t $ guests_hi_t $ online_density_t
-      $ scale_t $ no_defrag_t $ defrag_interval_t $ defrag_trigger_t
-      $ defrag_moves_t $ validate_t $ smoke_t $ report_t $ loads_t $ csv_t
+      const run $ session_t $ policy_t $ no_defrag_t $ defrag_interval_t
+      $ defrag_trigger_t $ defrag_moves_t $ validate_t $ smoke_t $ report_t
+      $ loads_t $ report_csv_t
       $ events_t $ timeline_t $ trace_out_t $ prom_t $ defrag_on_reject_t
       $ export_on_admit_t)
 
@@ -917,51 +951,12 @@ let online_cmd =
 
 let slo_cmd =
   let module Service = Hmn_online.Service in
-  let module Defrag = Hmn_online.Defrag in
   let module Report = Hmn_experiments.Online_report in
   let policy_t =
     Arg.(
       value & opt_all string []
       & info [ "policy" ] ~docv:"NAME"
           ~doc:"Admission policy (repeatable); default HMN,R,HS.")
-  in
-  let loads_t =
-    Arg.(
-      value & opt (list float) Report.default_loads
-      & info [ "loads" ] ~docv:"X,Y,..."
-          ~doc:"Offered-load multipliers on the base arrival rate.")
-  in
-  let rate_t =
-    Arg.(
-      value & opt float (1. /. 30.)
-      & info [ "rate" ] ~docv:"FLOAT" ~doc:"Base arrival rate, requests per simulated second.")
-  in
-  let holding_t =
-    Arg.(
-      value & opt float 600.
-      & info [ "holding" ] ~docv:"SECONDS" ~doc:"Mean tenant holding time (exponential).")
-  in
-  let duration_t =
-    Arg.(
-      value & opt float 3600.
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival horizon (simulated).")
-  in
-  let guests_lo_t =
-    Arg.(value & opt int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
-  in
-  let guests_hi_t =
-    Arg.(value & opt int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
-  in
-  let density_t =
-    Arg.(
-      value & opt float 0.3
-      & info [ "density" ] ~docv:"FLOAT" ~doc:"Virtual edge density within each tenant.")
-  in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~docv:"FRACTION"
-          ~doc:"Per-tenant feasibility calibration against the full cluster.")
   in
   let unit_t =
     Arg.(
@@ -975,11 +970,6 @@ let slo_cmd =
              deterministic admission work-unit proxy (byte-stable \
              percentiles for a fixed seed).")
   in
-  let csv_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the SLO cells as CSV.")
-  in
   let smoke_t =
     Arg.(
       value & flag
@@ -989,36 +979,9 @@ let slo_cmd =
              $(b,online --smoke), work-unit latency. Output is \
              byte-identical across runs and machines.")
   in
-  let run seed cluster_kind workload policies loads rate holding duration
-      guests_lo guests_hi density scale unit csv smoke =
-    let profile =
-      match workload with
-      | Hmn_experiments.Scenario.High_level -> Hmn_vnet.Workload.high_level
-      | Hmn_experiments.Scenario.Low_level -> Hmn_vnet.Workload.low_level
-    in
+  let run session policies loads unit csv smoke =
     let (cluster, config), latency =
-      if smoke then
-        ( smoke_setup ~defrag:(Some Defrag.default) ~defrag_on_reject:false
-            ~validate:false,
-          Report.Work_units )
-      else
-        ( ( Hmn_experiments.Scenario.build_cluster cluster_kind
-              ~rng:(Hmn_rng.Rng.create seed),
-            {
-              Service.seed;
-              arrival_rate_per_s = rate;
-              mean_holding_s = holding;
-              duration_s = duration;
-              guests_lo;
-              guests_hi;
-              density;
-              profile;
-              scale_frac = scale;
-              defrag = Some Defrag.default;
-              defrag_on_reject = false;
-              validate = false;
-            } ),
-          unit )
+      if smoke then (smoke_session (), Report.Work_units) else (session, unit)
     in
     let policies = if policies = [] then Report.default_policies else policies in
     try
@@ -1048,9 +1011,8 @@ let slo_cmd =
           deterministic work-unit proxy instead of wall-clock \
           milliseconds.")
     Term.(
-      const run $ seed_t $ cluster_t $ workload_t $ policy_t $ loads_t
-      $ rate_t $ holding_t $ duration_t $ guests_lo_t $ guests_hi_t
-      $ density_t $ scale_t $ unit_t $ csv_t $ smoke_t)
+      const run $ session_t $ policy_t $ loads_t $ unit_t $ report_csv_t
+      $ smoke_t)
 
 (* ---- scale ---- *)
 
@@ -1071,7 +1033,9 @@ let scale_cmd =
       & info [ "shape" ] ~docv:"clos|fat-tree" ~doc:"Physical fabric family.")
   in
   let ratio_t =
-    Arg.(value & opt int 25 & info [ "ratio" ] ~docv:"INT" ~doc:"Guests per host.")
+    Arg.(
+      value & opt positive_int 25
+      & info [ "ratio" ] ~docv:"INT" ~doc:"Guests per host.")
   in
   let jobs_t =
     Arg.(
@@ -1222,7 +1186,7 @@ let export_cmd =
   in
   let ratio_t =
     Arg.(
-      value & opt int 25
+      value & opt positive_int 25
       & info [ "ratio" ] ~docv:"INT"
           ~doc:"Guests per host for $(b,--scale-hosts).")
   in

@@ -63,7 +63,7 @@ let place strategy (problem : Problem.t) =
     Ok placement
   with Stuck guest ->
     Error
-      (Mapper.fail
+      (Mapper.fail_detail ~detail:(Mapper.Unplaceable_guest { guest })
          ~stage:(strategy_name strategy ^ "-placement")
          ~reason:(Printf.sprintf "no host fits guest %d" guest))
 

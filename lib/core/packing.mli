@@ -20,7 +20,8 @@ val place :
   strategy ->
   Hmn_mapping.Problem.t ->
   (Hmn_mapping.Placement.t, Mapper.failure) result
-(** Places every guest or fails on the first guest that fits nowhere. *)
+(** Places every guest or fails on the first guest that fits nowhere,
+    naming it as the failure's [Unplaceable_guest] detail. *)
 
 val to_mapper : strategy -> Mapper.t
 (** Placement by the strategy, then the A\*Prune Networking stage.

@@ -14,8 +14,6 @@ let all ?max_tries () =
       Packing.to_mapper Packing.Best_fit;
       Packing.to_mapper Packing.Worst_fit;
       Packing.to_mapper Packing.Consolidate;
-      Annealing.mapper ();
-      Genetic.mapper ();
     ]
 
 let find ?max_tries name =

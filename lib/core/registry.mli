@@ -3,8 +3,7 @@
     emulated scenario" the paper's conclusion calls for. *)
 
 val all : ?max_tries:int -> unit -> Mapper.t list
-(** HMN, R, RA, HS, HN (no-migration ablation), FFD, BFD, WFD, CONS,
-    SA (simulated annealing), GA (Liu et al. 2005 genetic baseline).
+(** HMN, R, RA, HS, HN (no-migration ablation), FFD, BFD, WFD, CONS.
     [max_tries] configures the retrying baselines. *)
 
 val paper : ?max_tries:int -> unit -> Mapper.t list

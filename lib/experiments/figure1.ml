@@ -20,20 +20,11 @@ let default_sweep =
     (2000, 0.01, Scenario.Low_level);
   ]
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> default)
-
 let run ?(sweep = default_sweep) ?reps ?(seed = 42) () =
-  let reps = match reps with Some r -> r | None -> env_int "HMN_REPS" 3 in
+  let reps = match reps with Some r -> r | None -> Runner.env_int "HMN_REPS" 3 in
   List.filter_map
     (fun (n, density, workload) ->
-      let profile =
-        match workload with
-        | Scenario.High_level -> Hmn_vnet.Workload.high_level
-        | Scenario.Low_level -> Hmn_vnet.Workload.low_level
-      in
+      let profile = Scenario.workload_profile workload in
       let times = Running.create () in
       let vlinks = ref 0 and inter = ref 0 in
       for rep = 0 to reps - 1 do

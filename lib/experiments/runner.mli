@@ -43,6 +43,10 @@ type config = {
           by [HMN_TRACE=path]. *)
 }
 
+val env_int : string -> int -> int
+(** [env_int name default]: the positive integer in environment
+    variable [name], else [default]. *)
+
 val default_config : unit -> config
 (** Paper heuristics; [reps] from the [HMN_REPS] environment variable
     (default 5), [max_tries] from [HMN_MAX_TRIES] (default 200) — the

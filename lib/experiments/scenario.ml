@@ -27,10 +27,11 @@ let paper_scenarios =
 let n_guests t =
   int_of_float (Float.round (t.ratio *. float_of_int Setup.n_hosts))
 
-let profile t =
-  match t.workload with
+let workload_profile = function
   | High_level -> Hmn_vnet.Workload.high_level
   | Low_level -> Hmn_vnet.Workload.low_level
+
+let profile t = workload_profile t.workload
 
 let label t =
   let ratio =

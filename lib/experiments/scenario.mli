@@ -20,6 +20,9 @@ val paper_scenarios : t list
 val n_guests : t -> int
 (** [ratio * 40], rounded. *)
 
+val workload_profile : workload_kind -> Hmn_vnet.Workload.profile
+(** The Table 1 profile of a workload family. *)
+
 val profile : t -> Hmn_vnet.Workload.profile
 
 val label : t -> string

@@ -142,7 +142,12 @@ let node_of_json json =
       | Ok j -> Result.map Option.some (to_int j)
     in
     let node = Node.host ~name ~capacity in
-    Ok (match rack with None -> node | Some r -> Node.with_rack node r)
+    (match rack with
+    | None -> Ok node
+    | Some r -> (
+      match Node.with_rack node r with
+      | n -> Ok n
+      | exception Invalid_argument msg -> Error msg))
   | other -> Error (Printf.sprintf "unknown node kind %S" other)
 
 let edge_endpoints json =

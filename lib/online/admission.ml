@@ -271,8 +271,8 @@ let explain ~residual ~venv ~stage ~reason ~detail =
             }
           end)
 
-let find_policy ?max_tries name =
-  match Hmn_core.Registry.find ?max_tries name with
+let find_policy name =
+  match Hmn_core.Registry.find name with
   | Some p -> Ok p
   | None ->
       Error

@@ -76,6 +76,5 @@ val explain :
     bandwidth vs latency by Dijkstra over bandwidth-feasible edges of
     the fresh residual. *)
 
-val find_policy :
-  ?max_tries:int -> string -> (Hmn_core.Mapper.t, string) result
+val find_policy : string -> (Hmn_core.Mapper.t, string) result
 (** Case-insensitive registry lookup; the error lists valid names. *)

@@ -512,7 +512,9 @@ let to_float = function
   | _ -> Error "expected a number"
 
 let to_int = function
-  | Num x when Float.is_integer x -> Ok (int_of_float x)
+  | Num x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 ->
+    Ok (int_of_float x)
+  | Num x when Float.is_integer x -> Error "integer out of range"
   | Num _ -> Error "expected an integer"
   | _ -> Error "expected a number"
 

@@ -66,6 +66,8 @@ val list : ('a -> t) -> 'a list -> t
 val member : string -> t -> (t, string) result
 val to_float : t -> (float, string) result
 val to_int : t -> (int, string) result
+(** Only an integral number in \[-2{^62}, 2{^62}), so it never wraps. *)
+
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
 

@@ -6,8 +6,8 @@ type t = {
 }
 
 val make : bandwidth_mbps:float -> latency_ms:float -> t
-(** Raises [Invalid_argument] unless bandwidth is positive and latency
-    non-negative. *)
+(** Raises [Invalid_argument] unless both values are finite, bandwidth
+    is positive and latency non-negative. *)
 
 val gigabit : t
 (** The paper's physical link: 1 Gbps, 5 ms. *)

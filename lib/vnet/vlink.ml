@@ -6,6 +6,8 @@ type t = {
 let make ~bandwidth_mbps ~latency_ms =
   if not (bandwidth_mbps > 0.) then invalid_arg "Vlink.make: bandwidth must be positive";
   if latency_ms < 0. then invalid_arg "Vlink.make: negative latency";
+  if not (Float.is_finite bandwidth_mbps && Float.is_finite latency_ms) then
+    invalid_arg "Vlink.make: non-finite value";
   { bandwidth_mbps; latency_ms }
 
 let pp ppf t =

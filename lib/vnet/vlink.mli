@@ -9,7 +9,7 @@ type t = {
 }
 
 val make : bandwidth_mbps:float -> latency_ms:float -> t
-(** Raises [Invalid_argument] unless bandwidth is positive and latency
-    non-negative. *)
+(** Raises [Invalid_argument] unless both values are finite, bandwidth
+    is positive and latency non-negative. *)
 
 val pp : Format.formatter -> t -> unit

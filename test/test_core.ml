@@ -489,6 +489,26 @@ let test_worst_fit_balances_better () =
       <= Objective.load_balance_factor cons +. 1e-9)
   | _ -> Alcotest.fail "placements should succeed"
 
+(* The guest order is by CPU, descending: "big" is placed first, then
+   "huge" fits no host and must be the guest the failure names. *)
+let test_packing_failure_names_guest () =
+  let guests =
+    [| guest ~mips:200. ~mem:5000. "huge"; guest ~mips:300. "big"; guest "small" |]
+  in
+  let problem =
+    Problem.make ~cluster:(line_cluster 2)
+      ~venv:(Venv.create ~guests ~graph:(Graph.create ~n:3 ()))
+  in
+  List.iter
+    (fun strategy ->
+      let name = Packing.strategy_name strategy in
+      match (run_mapper (Packing.to_mapper strategy) ~seed:1 problem).Mapper.result with
+      | Ok _ -> Alcotest.failf "%s: expected a failure" name
+      | Error f ->
+        Alcotest.(check bool) (name ^ " names guest 0") true
+          (f.Mapper.detail = Some (Mapper.Unplaceable_guest { guest = 0 })))
+    [ Packing.First_fit; Packing.Best_fit; Packing.Worst_fit; Packing.Consolidate ]
+
 (* ---- Exhaustive (OPT oracle) ---- *)
 
 (* Small instance where optimal balance is computable by hand: three
@@ -823,99 +843,16 @@ let prop_incremental_random_ops_stay_valid =
         done;
         Validator.is_valid mapping)
 
-(* ---- Annealing ---- *)
-
-let test_annealing_never_worse () =
-  let problem = random_problem ~seed:15 ~n_guests:60 in
-  match Hosting.run problem with
-  | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok p ->
-    let before = Objective.load_balance_factor p in
-    let accepted = Hmn_core.Annealing.anneal ~rng:(Hmn_rng.Rng.create 1) p in
-    let after = Objective.load_balance_factor p in
-    Alcotest.(check bool) "accepted some moves" true (accepted > 0);
-    Alcotest.(check bool) "LBF not worse (best-state restore)" true
-      (after <= before +. 1e-9);
-    Alcotest.(check bool) "still complete" true (Placement.all_assigned p)
-
-let test_annealing_mapper_valid () =
-  let problem = random_problem ~seed:16 ~n_guests:60 in
-  let mapper = Hmn_core.Annealing.mapper () in
-  match (run_mapper mapper ~seed:2 problem).Mapper.result with
-  | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok mapping ->
-    Alcotest.(check int) "valid" 0
-      (List.length (Validator.check mapping).Validator.violations)
-
-let test_annealing_param_validation () =
-  let problem = random_problem ~seed:17 ~n_guests:20 in
-  match Hosting.run problem with
-  | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok p ->
-    Alcotest.check_raises "bad cooling"
-      (Invalid_argument "Annealing: cooling must be in (0, 1)") (fun () ->
-        ignore
-          (Hmn_core.Annealing.anneal
-             ~params:
-               { Hmn_core.Annealing.iterations = 10; initial_temperature = 1.; cooling = 1.5 }
-             ~rng:(Hmn_rng.Rng.create 1) p))
-
-(* ---- Genetic ---- *)
-
-let test_genetic_produces_feasible () =
-  let problem = random_problem ~seed:18 ~n_guests:50 in
-  match Hmn_core.Genetic.evolve ~rng:(Hmn_rng.Rng.create 3) problem with
-  | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok p ->
-    Alcotest.(check bool) "complete" true (Placement.all_assigned p)
-
-let test_genetic_mapper_valid () =
-  let problem = random_problem ~seed:19 ~n_guests:50 in
-  let params =
-    { Hmn_core.Genetic.default_params with Hmn_core.Genetic.generations = 15 }
-  in
-  let mapper = Hmn_core.Genetic.mapper ~params () in
-  match (run_mapper mapper ~seed:4 problem).Mapper.result with
-  | Error f -> Alcotest.fail f.Mapper.reason
-  | Ok mapping ->
-    Alcotest.(check int) "valid" 0
-      (List.length (Validator.check mapping).Validator.violations)
-
-let test_genetic_fails_on_impossible () =
-  let cluster = line_cluster 2 in
-  let guests = [| guest ~mem:5000. "huge" |] in
-  let problem =
-    Problem.make ~cluster ~venv:(Venv.create ~guests ~graph:(Graph.create ~n:1 ()))
-  in
-  let params =
-    { Hmn_core.Genetic.population = 8; generations = 5; crossover_rate = 0.9;
-      mutation_rate = 0.05; tournament = 2 }
-  in
-  match Hmn_core.Genetic.evolve ~params ~rng:(Hmn_rng.Rng.create 5) problem with
-  | Ok _ -> Alcotest.fail "expected infeasibility"
-  | Error f -> Alcotest.(check string) "genetic stage" "genetic" f.Mapper.stage
-
-let test_genetic_param_validation () =
-  let problem = random_problem ~seed:20 ~n_guests:10 in
-  Alcotest.check_raises "population too small"
-    (Invalid_argument "Genetic: population >= 2 required") (fun () ->
-      ignore
-        (Hmn_core.Genetic.evolve
-           ~params:
-             { Hmn_core.Genetic.population = 1; generations = 1; crossover_rate = 0.5;
-               mutation_rate = 0.1; tournament = 1 }
-           ~rng:(Hmn_rng.Rng.create 1) problem))
-
 (* ---- Registry ---- *)
 
 let test_registry () =
   Alcotest.(check int) "paper pool" 4 (List.length (Registry.paper ()));
-  Alcotest.(check int) "full pool" 11 (List.length (Registry.all ()));
+  Alcotest.(check int) "full pool" 9 (List.length (Registry.all ()));
   Alcotest.(check bool) "find case-insensitive" true
     (Option.is_some (Registry.find "hmn"));
   Alcotest.(check bool) "find unknown" true (Registry.find "nope" = None);
   Alcotest.(check (list string)) "names"
-    [ "HMN"; "R"; "RA"; "HS"; "HN"; "FFD"; "BFD"; "WFD"; "CONS"; "SA"; "GA" ]
+    [ "HMN"; "R"; "RA"; "HS"; "HN"; "FFD"; "BFD"; "WFD"; "CONS" ]
     (Registry.names ())
 
 (* ---- integration properties ---- *)
@@ -941,6 +878,23 @@ let prop_baseline_mappings_always_valid =
           match (run_mapper mapper ~seed problem).Mapper.result with
           | Error _ -> true
           | Ok mapping -> Validator.is_valid mapping)
+        (Registry.all ~max_tries:30 ()))
+
+let prop_mappers_deterministic =
+  QCheck.Test.make
+    ~name:"every registered mapper maps an instance identically for a fixed seed"
+    ~count:8 QCheck.small_nat
+    (fun seed ->
+      let problem = random_problem ~seed:(seed + 5500) ~n_guests:40 in
+      List.for_all
+        (fun mapper ->
+          match
+            ( (run_mapper mapper ~seed problem).Mapper.result,
+              (run_mapper mapper ~seed problem).Mapper.result )
+          with
+          | Ok a, Ok b -> Hmn_mapping.Diff.is_empty (Hmn_mapping.Diff.diff a b)
+          | Error a, Error b -> a = b
+          | _ -> false)
         (Registry.all ~max_tries:30 ()))
 
 let prop_migration_never_worsens =
@@ -1283,6 +1237,8 @@ let () =
           Alcotest.test_case "strategies place" `Quick test_packing_strategies_valid;
           Alcotest.test_case "consolidation" `Quick test_consolidate_uses_fewer_hosts;
           Alcotest.test_case "worst-fit balances" `Quick test_worst_fit_balances_better;
+          Alcotest.test_case "packing failure names the guest it could not place"
+            `Quick test_packing_failure_names_guest;
         ] );
       ( "exhaustive",
         [
@@ -1304,25 +1260,12 @@ let () =
             test_incremental_rebalance_many_matches_reference;
           Alcotest.test_case "rejects invalid" `Quick test_incremental_rejects_invalid;
         ] );
-      ( "annealing",
-        [
-          Alcotest.test_case "never worse" `Quick test_annealing_never_worse;
-          Alcotest.test_case "mapper valid" `Quick test_annealing_mapper_valid;
-          Alcotest.test_case "param validation" `Quick test_annealing_param_validation;
-        ] );
-      ( "genetic",
-        [
-          Alcotest.test_case "produces feasible" `Quick test_genetic_produces_feasible;
-          Alcotest.test_case "mapper valid" `Quick test_genetic_mapper_valid;
-          Alcotest.test_case "fails on impossible" `Quick
-            test_genetic_fails_on_impossible;
-          Alcotest.test_case "param validation" `Quick test_genetic_param_validation;
-        ] );
       ("registry", [ Alcotest.test_case "lookup" `Quick test_registry ]);
       ( "properties",
         [
           q prop_hmn_mappings_always_valid;
           q prop_baseline_mappings_always_valid;
+          q prop_mappers_deterministic;
           q prop_migration_never_worsens;
           q prop_migration_matches_reference;
           q prop_migration_rollback_matches_reference;

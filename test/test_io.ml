@@ -222,6 +222,188 @@ let test_rejects_tampered_bandwidth () =
   in
   Alcotest.(check bool) "over-capacity bundle rejected" true rejected
 
+(* ---- hostile input ---- *)
+
+let has_field key = function
+  | Json.Obj fields -> List.mem_assoc key fields
+  | _ -> false
+
+let set_field key f = function
+  | Json.Obj fields ->
+    Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | json -> json
+
+(* [json] with the [k]-th value that [select] picks (children before
+   their parent, in document order) replaced by [f] of it. *)
+let rewrite_nth ~select ~f k json =
+  let seen = ref (-1) in
+  let rec go json =
+    let json =
+      match json with
+      | Json.Arr xs -> Json.Arr (List.map go xs)
+      | Json.Obj fields -> Json.Obj (List.map (fun (key, v) -> (key, go v)) fields)
+      | leaf -> leaf
+    in
+    if not (select json) then json
+    else begin
+      incr seen;
+      if !seen = k then f json else json
+    end
+  in
+  go json
+
+let count ~select json =
+  let n = ref 0 in
+  let rec walk json =
+    if select json then incr n;
+    match json with
+    | Json.Arr xs -> List.iter walk xs
+    | Json.Obj fields -> List.iter (fun (_, v) -> walk v) fields
+    | _ -> ()
+  in
+  walk json;
+  !n
+
+(* Small HMN mappings on a rack-labelled Clos and on an unracked
+   torus, the two cluster shapes a bundle can describe. *)
+let small_mapping ~seed ~profile cluster_of =
+  let rng = Hmn_rng.Rng.create seed in
+  let cluster = cluster_of rng in
+  let venv =
+    Hmn_vnet.Venv_gen.generate ~scale_to_fit:(cluster, 0.5) ~profile ~n:12
+      ~density:0.3 ~rng ()
+  in
+  match (Hmn_core.Hmn.run (Problem.make ~cluster ~venv)).Hmn_core.Mapper.result with
+  | Ok m -> m
+  | Error f -> Alcotest.fail f.Hmn_core.Mapper.reason
+
+let racked_mapping () =
+  small_mapping ~seed:5 ~profile:Hmn_vnet.Workload.high_level (fun rng ->
+      Hmn_testbed.Cluster_gen.clos_cluster ~racks:2 ~hosts_per_rack:3 ~spines:2 ~rng ())
+
+let torus_mapping () =
+  small_mapping ~seed:6 ~profile:Hmn_vnet.Workload.low_level (fun rng ->
+      Hmn_testbed.Cluster_gen.torus_cluster ~rows:2 ~cols:3 ~rng ())
+
+let test_rejects_negative_rack () =
+  let j = Codec.bundle_to_json (racked_mapping ()) in
+  let tampered =
+    rewrite_nth ~select:(has_field "rack")
+      ~f:(set_field "rack" (fun _ -> Json.int (-1)))
+      0 j
+  in
+  Alcotest.(check bool) "racked" true (tampered <> j);
+  Alcotest.(check bool) "negative rack rejected" true
+    (Result.is_error (Codec.bundle_of_json tampered))
+
+let test_rejects_int_beyond_range () =
+  let j = Codec.bundle_to_json (sample_mapping ()) in
+  let tampered =
+    rewrite_nth ~select:(has_field "placement")
+      ~f:
+        (set_field "placement" (function
+          | Json.Arr (_ :: rest) -> Json.Arr (Json.float 1e19 :: rest)
+          | json -> json))
+      0 j
+  in
+  Alcotest.(check bool) "placement beyond the int range rejected" true
+    (Result.is_error (Codec.bundle_of_json tampered))
+
+let test_rejects_non_finite_link () =
+  let mapping = sample_mapping () in
+  let bundle =
+    rewrite_nth ~select:(has_field "bandwidth_mbps")
+      ~f:(set_field "bandwidth_mbps" (fun _ -> Json.float Float.infinity))
+      0 (Codec.bundle_to_json mapping)
+  in
+  Alcotest.(check bool) "infinite link bandwidth rejected" true
+    (Result.is_error (Codec.bundle_of_json bundle));
+  let venv =
+    rewrite_nth ~select:(has_field "latency_ms")
+      ~f:(set_field "latency_ms" (fun _ -> Json.float Float.nan))
+      0
+      (Codec.venv_to_json (Mapping.problem mapping).Problem.venv)
+  in
+  Alcotest.(check bool) "NaN vlink latency rejected" true
+    (Result.is_error (Codec.venv_of_json venv))
+
+type mutation =
+  | Truncate of int
+  | Flip of int * int
+  | Number of int * float
+  | Endpoint of int * bool
+
+let pp_mutation = function
+  | Truncate at -> Printf.sprintf "truncate at %d" at
+  | Flip (at, mask) -> Printf.sprintf "xor byte %d with %d" at mask
+  | Number (k, x) -> Printf.sprintf "number %d := %h" k x
+  | Endpoint (k, self) ->
+    Printf.sprintf "edge %d endpoint := %s" k (if self then "self" else "dangling")
+
+let is_num = function Json.Num _ -> true | _ -> false
+let is_edge json = has_field "u" json && has_field "v" json
+
+let decode text = Result.bind (Json.of_string text) Codec.bundle_of_json
+
+(* Every mutated bundle decodes to [Ok] or [Error] without raising, and
+   whatever decodes re-encodes to text that decodes again. *)
+let prop_hostile_bundles_never_raise =
+  let bundles =
+    lazy (Array.map Codec.bundle_to_json [| racked_mapping (); torus_mapping () |])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair bool
+        (oneof
+           [
+             map (fun at -> Truncate at) nat;
+             map2 (fun at mask -> Flip (at, mask)) nat (int_range 1 255);
+             map2
+               (fun k x -> Number (k, x))
+               nat
+               (oneofl [ -1.; 1.5; 0x1p62; 1e19; Float.infinity ]);
+             map2 (fun k self -> Endpoint (k, self)) nat bool;
+           ]))
+  in
+  let print (racked, m) =
+    Printf.sprintf "%s bundle, %s" (if racked then "racked" else "torus") (pp_mutation m)
+  in
+  QCheck.Test.make ~name:"hostile bundles decode to Ok or Error, never raise"
+    ~count:400 (QCheck.make ~print gen)
+    (fun (racked, mutation) ->
+      let json = (Lazy.force bundles).(if racked then 0 else 1) in
+      let text = Json.to_string json in
+      let n = String.length text in
+      let result =
+        match mutation with
+        | Truncate at -> decode (String.sub text 0 (at mod n))
+        | Flip (at, mask) ->
+          let b = Bytes.of_string text in
+          let at = at mod n in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+          decode (Bytes.to_string b)
+        | Number (k, x) ->
+          Codec.bundle_of_json
+            (rewrite_nth ~select:is_num
+               ~f:(fun _ -> Json.float x)
+               (k mod count ~select:is_num json)
+               json)
+        | Endpoint (k, self) ->
+          let point edge =
+            let target =
+              if self then Result.get_ok (Json.member "u" edge) else Json.int 1_000_000
+            in
+            set_field "v" (fun _ -> target) edge
+          in
+          Codec.bundle_of_json
+            (rewrite_nth ~select:is_edge ~f:point
+               (k mod count ~select:is_edge json)
+               json)
+      in
+      match result with
+      | Error _ -> true
+      | Ok m -> Result.is_ok (decode (Json.to_string (Codec.bundle_to_json m))))
+
 let () =
   Alcotest.run "hmn_io"
     [
@@ -240,10 +422,16 @@ let () =
           Alcotest.test_case "overdrawn paths" `Quick test_rejects_overdrawn_paths;
           Alcotest.test_case "tampered bandwidth" `Quick
             test_rejects_tampered_bandwidth;
+          Alcotest.test_case "negative rack id" `Quick test_rejects_negative_rack;
+          Alcotest.test_case "integer beyond the int range" `Quick
+            test_rejects_int_beyond_range;
+          Alcotest.test_case "non-finite link value" `Quick
+            test_rejects_non_finite_link;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_many_seeds;
           QCheck_alcotest.to_alcotest prop_reencode_fixpoint;
+          QCheck_alcotest.to_alcotest prop_hostile_bundles_never_raise;
         ] );
     ]

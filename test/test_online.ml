@@ -451,6 +451,22 @@ let test_flight_recorder_is_passive () =
     (Hmn_online.Session.render_summary bare)
     (Hmn_online.Session.render_summary recorded)
 
+(* No other session here runs a packing policy. WFD's hosting failures
+   name the guest they got stuck on, and with validate = true every
+   journaled cause was re-derived by Hmn_validate.Decision: a
+   disagreement would have raised Validation_failed. *)
+let test_wfd_session_agrees_with_decision () =
+  let cluster = torus ~seed:5 in
+  let flight = Flight.create cluster in
+  let s = Service.run ~flight ~cluster ~policy:(policy "WFD") overload_config in
+  let j = Option.get (Flight.events_jsonl flight) in
+  Alcotest.(check bool) "rejections occurred" true (s.rejected > 0);
+  Alcotest.(check int) "every reject names a cause" s.rejected
+    (count_substring j "\"cause\":\"");
+  Alcotest.(check bool) "hosting rejections name their guest" true
+    (count_substring j "\"cause\":\"hosting-" > 0
+    && count_substring j "\"guest\":" >= count_substring j "\"cause\":\"hosting-")
+
 (* Defrag-assisted admission: on a non-screen rejection the service runs
    one compaction round and retries; when the retry lands the journal
    records an admit-defrag decision. The seed scan is deterministic, so
@@ -537,5 +553,7 @@ let () =
             test_flight_recorder_is_passive;
           Alcotest.test_case "defrag-assisted admission" `Quick
             test_defrag_assisted_admission;
+          Alcotest.test_case "a validated WFD session agrees with Decision" `Quick
+            test_wfd_session_agrees_with_decision;
         ] );
     ]

@@ -304,6 +304,11 @@ let test_json_accessors () =
     (Result.bind (Json.member "n" v) Json.to_int);
   Alcotest.(check bool) "to_int on non-integer" true
     (Result.is_error (Json.to_int (Json.float 1.5)));
+  Alcotest.(check (result int string)) "to_int at the bottom of the range"
+    (Ok min_int) (Json.to_int (Json.float (-0x1p62)));
+  Alcotest.(check bool) "to_int beyond the int range" true
+    (Result.is_error (Json.to_int (Json.float 0x1p62))
+    && Result.is_error (Json.to_int (Json.float 1e19)));
   Alcotest.(check bool) "to_str wrong type" true
     (Result.is_error (Result.bind (Json.member "n" v) Json.to_str));
   Alcotest.(check bool) "map_result short-circuits" true

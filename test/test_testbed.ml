@@ -85,7 +85,13 @@ let test_link () =
       ignore (Link.make ~bandwidth_mbps:0. ~latency_ms:1.));
   Alcotest.check_raises "negative latency"
     (Invalid_argument "Link.make: negative latency") (fun () ->
-      ignore (Link.make ~bandwidth_mbps:1. ~latency_ms:(-1.)))
+      ignore (Link.make ~bandwidth_mbps:1. ~latency_ms:(-1.)));
+  Alcotest.check_raises "infinite bandwidth"
+    (Invalid_argument "Link.make: non-finite value") (fun () ->
+      ignore (Link.make ~bandwidth_mbps:Float.infinity ~latency_ms:1.));
+  Alcotest.check_raises "NaN latency"
+    (Invalid_argument "Link.make: non-finite value") (fun () ->
+      ignore (Link.make ~bandwidth_mbps:1. ~latency_ms:Float.nan))
 
 (* ---- Cluster ---- *)
 

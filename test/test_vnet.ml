@@ -30,7 +30,13 @@ let test_vlink_validation () =
       ignore (Vlink.make ~bandwidth_mbps:0. ~latency_ms:1.));
   Alcotest.check_raises "negative latency"
     (Invalid_argument "Vlink.make: negative latency") (fun () ->
-      ignore (Vlink.make ~bandwidth_mbps:1. ~latency_ms:(-0.1)))
+      ignore (Vlink.make ~bandwidth_mbps:1. ~latency_ms:(-0.1)));
+  Alcotest.check_raises "infinite bandwidth"
+    (Invalid_argument "Vlink.make: non-finite value") (fun () ->
+      ignore (Vlink.make ~bandwidth_mbps:Float.infinity ~latency_ms:1.));
+  Alcotest.check_raises "NaN latency"
+    (Invalid_argument "Vlink.make: non-finite value") (fun () ->
+      ignore (Vlink.make ~bandwidth_mbps:1. ~latency_ms:Float.nan))
 
 let test_venv_accessors () =
   let venv, e01, _ = small_venv () in
