@@ -510,6 +510,51 @@ let test_service_policy_independent_load () =
   Alcotest.(check int) "same arrivals HMN/R" hmn.arrivals r.arrivals;
   Alcotest.(check int) "same arrivals HMN/HS" hmn.arrivals hs.arrivals
 
+(* Networking attribution on a crafted residual. Hosts 0-1-2 form a
+   100 Mbps, 5 ms-per-hop line with a 1 ms shortcut 0-2 of only
+   5 Mbps; host 3 hangs off host 2 by a 1 Mbps link. A 50 Mbps vlink
+   then has no feasible path to host 3 (bandwidth), reaches host 2 only
+   over the 10 ms line, not the shortcut (latency under an 8 ms bound),
+   and under a 20 ms bound was feasible in the fresh residual, so only
+   the request's own reservations can have blocked it (bandwidth). *)
+let test_explain_networking_causes () =
+  let g = Graph.create ~n:4 () in
+  let link bw lat = Link.make ~bandwidth_mbps:bw ~latency_ms:lat in
+  ignore (Graph.add_edge g 0 1 (link 100. 5.));
+  ignore (Graph.add_edge g 1 2 (link 100. 5.));
+  ignore (Graph.add_edge g 0 2 (link 5. 1.));
+  ignore (Graph.add_edge g 2 3 (link 1. 1.));
+  let nodes =
+    Array.init 4 (fun i ->
+        Node.host
+          ~name:(Printf.sprintf "h%d" i)
+          ~capacity:(Resources.make ~mips:1000. ~mem_mb:1024. ~stor_gb:100.))
+  in
+  let residual = Cluster.create ~nodes ~graph:g in
+  let venv = (solo_tenant ~id:0 ~host:0 ~mips:1. ~mem:1.).Tenant.venv in
+  let explain ~dst ~latency_ms =
+    Admission.explain ~residual ~venv ~stage:"networking" ~reason:"unroutable"
+      ~detail:
+        (Some
+           (Hmn_core.Mapper.Unroutable_vlink
+              { vlink = 0; src_host = 0; dst_host = dst; bandwidth_mbps = 50.; latency_ms }))
+  in
+  let check name ~cause ~binding (e : Admission.explanation) =
+    Alcotest.(check bool) (name ^ ": cause") true (e.Admission.cause = cause);
+    Alcotest.(check bool)
+      (name ^ ": binding " ^ e.Admission.binding)
+      true
+      (count_substring e.Admission.binding binding = 1)
+  in
+  let bandwidth = Hmn_obs.Journal.(Networking Bandwidth) in
+  check "no feasible path" ~cause:bandwidth ~binding:"no path with 50.000 Mbps free"
+    (explain ~dst:3 ~latency_ms:100.);
+  check "over the bound" ~cause:Hmn_obs.Journal.(Networking Latency)
+    ~binding:"best feasible path 10.0 ms exceeds the 8.0 ms bound"
+    (explain ~dst:2 ~latency_ms:8.);
+  check "own reservations" ~cause:bandwidth ~binding:"own reservations"
+    (explain ~dst:2 ~latency_ms:20.)
+
 let () =
   Alcotest.run "hmn_online"
     [
@@ -555,5 +600,10 @@ let () =
             test_defrag_assisted_admission;
           Alcotest.test_case "a validated WFD session agrees with Decision" `Quick
             test_wfd_session_agrees_with_decision;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "explain networking causes" `Quick
+            test_explain_networking_causes;
         ] );
     ]
