@@ -44,6 +44,24 @@ let unit_float =
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc:"Random seed.")
 
+(* Without the flag, HMN_JOBS goes through [Runner.env_int], which falls
+   back to the default on a value that is not a positive integer. *)
+let jobs_t =
+  let resolve = function
+    | Some jobs -> jobs
+    | None ->
+      Hmn_experiments.Runner.env_int "HMN_JOBS" (Hmn_prelude.Domain_pool.default_jobs ())
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value & opt (some positive_int) None
+        & info [ "jobs"; "j" ] ~docv:"INT"
+            ~doc:
+              "Worker domains (default: $(b,HMN_JOBS) or the machine's core \
+               count minus one). Any value produces byte-identical output; \
+               only wall time changes."))
+
 let cluster_t =
   let kind_conv =
     Arg.enum [ ("torus", Hmn_experiments.Scenario.Torus);
@@ -438,15 +456,6 @@ let experiments_cmd =
       & info [ "reps" ] ~docv:"INT"
           ~doc:"Repetitions per scenario (default: $(b,HMN_REPS) or 5; paper: 30).")
   in
-  let jobs_t =
-    Arg.(
-      value & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"INT"
-          ~doc:
-            "Worker domains for the sweep (default: $(b,HMN_JOBS) or the \
-             machine's core count minus one). Any value produces identical \
-             tables; only wall time changes.")
-  in
   let csv_t =
     Arg.(
       value & opt (some string) None
@@ -469,17 +478,10 @@ let experiments_cmd =
         | None -> c
         | Some reps -> { c with Hmn_experiments.Runner.reps }
       in
-      let c =
-        match trace with
-        | None -> c
-        | Some _ -> { c with Hmn_experiments.Runner.trace }
-      in
-      match jobs with
+      let c = { c with Hmn_experiments.Runner.jobs } in
+      match trace with
       | None -> c
-      | Some jobs when jobs >= 1 -> { c with Hmn_experiments.Runner.jobs }
-      | Some _ ->
-        prerr_endline "hmn_cli: --jobs must be >= 1";
-        exit 2
+      | Some _ -> { c with Hmn_experiments.Runner.trace }
     in
     let t0 = Hmn_prelude.Clock.now_s () in
     let results = Hmn_experiments.Runner.run ~config () in
@@ -1037,15 +1039,6 @@ let scale_cmd =
       value & opt positive_int 25
       & info [ "ratio" ] ~docv:"INT" ~doc:"Guests per host.")
   in
-  let jobs_t =
-    Arg.(
-      value & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"INT"
-          ~doc:
-            "Worker domains for the per-rack Hosting fan-out (default: \
-             $(b,HMN_JOBS) or the machine's core count minus one). Any value \
-             produces a byte-identical summary; only wall time changes.")
-  in
   let validate_t =
     Arg.(
       value & flag
@@ -1065,17 +1058,7 @@ let scale_cmd =
   in
   let run seed hosts shape ratio jobs validate routing_counters =
     let validate = validate || Sys.getenv_opt "HMN_VALIDATE" <> None in
-    let jobs =
-      match jobs with
-      | Some _ -> jobs
-      | None -> Option.bind (Sys.getenv_opt "HMN_JOBS") int_of_string_opt
-    in
-    (match jobs with
-    | Some j when j < 1 ->
-      prerr_endline "hmn_cli: --jobs must be >= 1";
-      exit 2
-    | _ -> ());
-    let r = Scale.run ?jobs ~ratio ~seed ~validate ~shape ~hosts () in
+    let r = Scale.run ~jobs ~ratio ~seed ~validate ~shape ~hosts () in
     print_string (Scale.render_summary r);
     if routing_counters then print_string (Scale.render_routing_counters r);
     (* Timings are real wall clock — stderr only, so stdout stays
@@ -1190,16 +1173,6 @@ let export_cmd =
       & info [ "ratio" ] ~docv:"INT"
           ~doc:"Guests per host for $(b,--scale-hosts).")
   in
-  let jobs_t =
-    Arg.(
-      value & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"INT"
-          ~doc:
-            "Worker domains for the $(b,--scale-hosts) mapping (default: \
-             $(b,HMN_JOBS) or the machine's core count minus one). The \
-             artifacts are byte-identical for any value — they derive from \
-             the mapping alone.")
-  in
   let format_t =
     Arg.(
       value
@@ -1234,16 +1207,6 @@ let export_cmd =
   in
   let run seed cluster_kind guests density workload heuristic bundle scale_hosts
       shape ratio jobs format out_dir to_stdout check =
-    let jobs =
-      match jobs with
-      | Some _ -> jobs
-      | None -> Option.bind (Sys.getenv_opt "HMN_JOBS") int_of_string_opt
-    in
-    (match jobs with
-    | Some j when j < 1 ->
-      prerr_endline "hmn_cli: --jobs must be >= 1";
-      exit 2
-    | _ -> ());
     if bundle <> None && scale_hosts <> None then begin
       prerr_endline
         "hmn_cli export: --bundle and --scale-hosts are mutually exclusive";
@@ -1258,7 +1221,7 @@ let export_cmd =
           Printf.eprintf "hmn_cli export: %s\n" msg;
           exit 1)
       | None, Some hosts -> (
-        let r = Scale.run ?jobs ~ratio ~seed ~shape ~hosts () in
+        let r = Scale.run ~jobs ~ratio ~seed ~shape ~hosts () in
         (* wall clock to stderr; stdout stays byte-diffable *)
         prerr_string (Scale.render_timings r);
         match r.Scale.outcome.Hmn_core.Mapper.result with

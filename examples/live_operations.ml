@@ -1,12 +1,11 @@
 (* Day-two operations on a deployed emulation: save the environment to
-   disk, drain a host for maintenance (all its guests migrate and their
-   virtual links re-route), rebalance the cluster afterwards, and
-   verify constraint validity at every step — the "fully-automated
-   emulator" workflow the paper's project targets.
+   disk, reload it, rebalance the live mapping (guests migrate and
+   their virtual links re-route), and verify constraint validity at
+   every step — the "fully-automated emulator" workflow the paper's
+   project targets.
 
    Run with: dune exec examples/live_operations.exe *)
 
-module Placement = Hmn_mapping.Placement
 module Cluster = Hmn_testbed.Cluster
 
 let check mapping label =
@@ -52,43 +51,13 @@ let () =
   | Error e -> failwith e);
   Sys.remove path;
 
-  (* Keep a snapshot (via the codec) so the day's changes can be
-     summarized with a structural diff at the end. *)
-  let snapshot =
-    match Hmn_io.Codec.mapping_of_json
-            ~problem (Hmn_io.Codec.mapping_to_json mapping)
-    with
-    | Ok m -> m
-    | Error e -> failwith e
-  in
-
-  (* Host maintenance: drain the busiest host. *)
+  (* Rebalance the live mapping in place. *)
   let live = Hmn_online.Incremental.create mapping in
-  let placement = mapping.Hmn_mapping.Mapping.placement in
-  let victim =
-    Hmn_prelude.Array_ext.max_by
-      (fun h -> float_of_int (Placement.n_guests_on placement ~host:h))
-      (Cluster.host_ids cluster)
-  in
-  Format.printf "draining host %s (%d guests)...@."
-    (Cluster.node cluster victim).Hmn_testbed.Node.name
-    (Placement.n_guests_on placement ~host:victim);
-  (match Hmn_online.Incremental.evacuate_host live ~host:victim with
-  | Ok moved -> Format.printf "  moved %d guests (links re-routed)@." moved
-  | Error e -> failwith e);
-  assert (Placement.n_guests_on placement ~host:victim = 0);
-  check mapping "after evacuation";
-
-  (* The drain skewed the load; rebalance. *)
   let before = Hmn_mapping.Mapping.objective mapping in
   let moves = Hmn_online.Incremental.rebalance live in
   Format.printf "rebalance: %d moves, LBF %.1f -> %.1f@." moves before
     (Hmn_mapping.Mapping.objective mapping);
   check mapping "after rebalance";
-
-  (* What changed today, versus the morning snapshot? *)
-  let d = Hmn_mapping.Diff.diff snapshot mapping in
-  Format.printf "change log: %s@." (Hmn_mapping.Diff.summary d);
 
   (* And the emulated experiment still runs. *)
   let sim = Hmn_emulation.Exec_sim.run mapping in

@@ -1,8 +1,8 @@
 (* The paper's second use case: testing a P2P protocol ("low-level
    workload") — many thin virtual machines, 20 guests per host, on the
    switched cluster. Shows the full pipeline: generate, map with HMN,
-   validate, then run the emulated experiment and report per-stage
-   detail.
+   validate, then run the emulated BSP experiment (Exec_sim) and report
+   per-stage detail.
 
    Run with: dune exec examples/p2p_overlay.exe *)
 
@@ -50,14 +50,4 @@ let () =
       sim.Hmn_emulation.Exec_sim.makespan_s sim.Hmn_emulation.Exec_sim.events
       sim.Hmn_emulation.Exec_sim.max_host_slowdown
       sim.Hmn_emulation.Exec_sim.intra_host_messages
-      sim.Hmn_emulation.Exec_sim.inter_host_messages;
-    (* A P2P protocol is request/response shaped; run the closed-loop
-       client-server model too. *)
-    let req = Hmn_emulation.Request_sim.run mapping in
-    Format.printf
-      "emulated RPC experiment: %.3f s, %d requests, mean RTT %.1f ms, max RTT \
-       %.1f ms@."
-      req.Hmn_emulation.Request_sim.makespan_s
-      req.Hmn_emulation.Request_sim.requests_completed
-      (1000. *. req.Hmn_emulation.Request_sim.mean_response_s)
-      (1000. *. req.Hmn_emulation.Request_sim.max_response_s)
+      sim.Hmn_emulation.Exec_sim.inter_host_messages

@@ -12,8 +12,8 @@ val edges :
     edge: the sum over ordered node pairs [(s, t)] of the fraction of
     shortest [s]–[t] paths using the edge. Unweighted (hop-count)
     shortest paths by default; [weight] supplies positive edge
-    weights. For undirected graphs each unordered pair is counted
-    twice (both orders), the usual convention. Raises
+    weights. Each unordered pair is counted twice (both orders), the
+    usual convention. Raises
     [Invalid_argument] on non-positive weights. *)
 
 val nodes : ?weight:(int -> float) -> 'e Graph.t -> float array

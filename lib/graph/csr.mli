@@ -13,9 +13,8 @@
     The view is immutable and built once per graph. Arc order within a
     node's slice is exactly {!Graph.iter_adj} order (edge-insertion
     order), so an algorithm ported from the adjacency structure keeps
-    its tie-breaking — and its output — byte-identical. For undirected
-    graphs both arc directions are present; for directed graphs the
-    slices hold outgoing arcs only. *)
+    its tie-breaking — and its output — byte-identical. Both arc
+    directions of every edge are present. *)
 
 type t
 
@@ -26,7 +25,7 @@ val of_graph : 'e Graph.t -> t
 val n_nodes : t -> int
 
 val n_arcs : t -> int
-(** Total slice length: [2 * n_edges] for undirected graphs. *)
+(** Total slice length: [2 * n_edges]. *)
 
 val n_edges : t -> int
 (** Edge-id count of the source graph (edge ids are [0 .. n_edges-1]). *)
@@ -62,7 +61,7 @@ val sole_neighbor : t -> int -> (int * int) option
 val dijkstra_from : t -> weight:float array -> src:int -> float array
 (** Single-source shortest-path distances with per-edge-id weights,
     identical results to [Dijkstra.run] on the source graph (same
-    relaxation order). On an undirected graph this is also the
-    distance {e to} [src] from every node. Raises [Invalid_argument]
+    relaxation order). This is also the distance {e to} [src] from
+    every node. Raises [Invalid_argument]
     on an out-of-range source, a negative weight, or a weight array
     shorter than {!n_edges}. *)

@@ -32,36 +32,7 @@ let run g ~weight ~src =
   loop ();
   { dist; prev_node; prev_edge }
 
-let distances_to g ~weight ~dst =
-  match Graph.kind g with
-  | Graph.Undirected -> (run g ~weight ~src:dst).dist
-  | Graph.Directed ->
-    (* Run Dijkstra on the reversed adjacency. *)
-    let n = Graph.n_nodes g in
-    let rev = Array.make n [] in
-    Graph.iter_edges g (fun ~eid ~u ~v _ -> rev.(v) <- (u, eid) :: rev.(v));
-    let dist = Array.make n infinity in
-    let heap = Hmn_dstruct.Indexed_heap.create n in
-    dist.(dst) <- 0.;
-    Hmn_dstruct.Indexed_heap.insert heap dst 0.;
-    let rec loop () =
-      match Hmn_dstruct.Indexed_heap.pop_min heap with
-      | None -> ()
-      | Some (u, du) ->
-        List.iter
-          (fun (p, eid) ->
-            let w = weight eid in
-            if w < 0. then invalid_arg "Dijkstra.distances_to: negative weight";
-            let alt = du +. w in
-            if alt < dist.(p) then begin
-              dist.(p) <- alt;
-              Hmn_dstruct.Indexed_heap.insert_or_decrease heap p alt
-            end)
-          rev.(u);
-        loop ()
-    in
-    loop ();
-    dist
+let distances_to g ~weight ~dst = (run g ~weight ~src:dst).dist
 
 let path_to res v =
   if res.dist.(v) = infinity then None

@@ -16,9 +16,8 @@ val run : 'e Graph.t -> weight:(int -> float) -> src:int -> result
 
 val distances_to : 'e Graph.t -> weight:(int -> float) -> dst:int -> float array
 (** [distances_to g ~weight ~dst] is the cost of the best path from
-    every node {e to} [dst]. On an undirected graph this is [run]'s
-    [dist] from [dst]; on a directed graph edges are traversed
-    backwards. This is the "latency-to-go" table the paper's A\*Prune
+    every node {e to} [dst]: [run]'s [dist] from [dst], as edges are
+    undirected. This is the "latency-to-go" table the paper's A\*Prune
     variant precomputes. *)
 
 val path_to : result -> int -> (int list * int list) option

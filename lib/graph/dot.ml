@@ -1,13 +1,10 @@
 let to_dot ?(name = "g") ?node_name ?edge_attr g =
   let node_name = Option.value node_name ~default:string_of_int in
   let buf = Buffer.create 1024 in
-  let directed = Graph.kind g = Graph.Directed in
-  Buffer.add_string buf (if directed then "digraph " else "graph ");
-  Buffer.add_string buf (name ^ " {\n");
+  Buffer.add_string buf ("graph " ^ name ^ " {\n");
   for v = 0 to Graph.n_nodes g - 1 do
     Buffer.add_string buf (Printf.sprintf "  \"%s\";\n" (node_name v))
   done;
-  let arrow = if directed then " -> " else " -- " in
   Graph.iter_edges g (fun ~eid ~u ~v lab ->
       let attrs =
         match edge_attr with
@@ -16,6 +13,6 @@ let to_dot ?(name = "g") ?node_name ?edge_attr g =
           match f eid lab with "" -> "" | a -> " [" ^ a ^ "]")
       in
       Buffer.add_string buf
-        (Printf.sprintf "  \"%s\"%s\"%s\"%s;\n" (node_name u) arrow (node_name v) attrs));
+        (Printf.sprintf "  \"%s\" -- \"%s\"%s;\n" (node_name u) (node_name v) attrs));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

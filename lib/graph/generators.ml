@@ -150,17 +150,6 @@ let waxman ~n ~alpha ~beta ~rng =
   done;
   g
 
-let gnp ~n ~p ~rng =
-  require (n >= 1) "gnp: n >= 1 required";
-  require (p >= 0. && p <= 1.) "gnp: p in [0,1] required";
-  let g = Graph.create ~n () in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.float rng < p then ignore (Graph.add_edge g i j ())
-    done
-  done;
-  g
-
 (* ---- data-center fabrics ---- *)
 
 type tier = Access | Aggregation | Core

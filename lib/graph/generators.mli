@@ -35,9 +35,6 @@ val random_connected : n:int -> density:float -> rng:Hmn_rng.Rng.t -> unit Graph
     up to the density target. Raises [Invalid_argument] unless
     [0. <= density <= 1.] and [n >= 1]. *)
 
-val gnp : n:int -> p:float -> rng:Hmn_rng.Rng.t -> unit Graph.t
-(** Erdős–Rényi G(n, p); connectivity not guaranteed. *)
-
 val barabasi_albert : n:int -> m:int -> rng:Hmn_rng.Rng.t -> unit Graph.t
 (** Preferential attachment (Barabási–Albert): each new node attaches
     to [m] distinct existing nodes with probability proportional to

@@ -1,9 +1,6 @@
 module Dynarray = Hmn_dstruct.Dynarray
 
-type kind = Directed | Undirected
-
 type 'e t = {
-  kind : kind;
   n : int;
   (* adjacency.(u) holds (neighbor, edge id) pairs *)
   adjacency : (int * int) Dynarray.t array;
@@ -12,10 +9,9 @@ type 'e t = {
   labels : 'e Dynarray.t;
 }
 
-let create ?(kind = Undirected) ~n () =
+let create ~n () =
   if n < 0 then invalid_arg "Graph.create: negative node count";
   {
-    kind;
     n;
     adjacency = Array.init n (fun _ -> Dynarray.create ());
     sources = Dynarray.create ();
@@ -23,7 +19,6 @@ let create ?(kind = Undirected) ~n () =
     labels = Dynarray.create ();
   }
 
-let kind g = g.kind
 let n_nodes g = g.n
 let n_edges g = Dynarray.length g.labels
 
@@ -39,7 +34,7 @@ let add_edge g u v lab =
   Dynarray.push g.targets v;
   Dynarray.push g.labels lab;
   Dynarray.push g.adjacency.(u) (v, eid);
-  if g.kind = Undirected then Dynarray.push g.adjacency.(v) (u, eid);
+  Dynarray.push g.adjacency.(v) (u, eid);
   eid
 
 let check_edge g eid name =
@@ -53,16 +48,6 @@ let endpoints g eid =
 let label g eid =
   check_edge g eid "label";
   Dynarray.get g.labels eid
-
-let set_label g eid lab =
-  check_edge g eid "set_label";
-  Dynarray.set g.labels eid lab
-
-let other_end g eid u =
-  let s, t = endpoints g eid in
-  if u = s then t
-  else if u = t then s
-  else invalid_arg "Graph.other_end: node not an endpoint"
 
 let iter_adj g u f =
   check_node g u "iter_adj";
@@ -104,8 +89,6 @@ let fold_edges g ~init ~f =
   !acc
 
 let map_labels g ~f =
-  let g' = create ~kind:g.kind ~n:g.n () in
+  let g' = create ~n:g.n () in
   iter_edges g (fun ~eid ~u ~v lab -> ignore (add_edge g' u v (f ~eid lab)));
   g'
-
-let copy g = map_labels g ~f:(fun ~eid:_ lab -> lab)

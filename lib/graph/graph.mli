@@ -5,21 +5,18 @@
     label and are identified by a dense integer id in insertion order,
     which lets algorithms attach per-edge state in flat arrays.
 
-    Graphs are undirected by default (each edge appears in both
-    endpoints' adjacency); a directed variant is available for
-    completeness. Parallel edges are permitted; self-loops are rejected
+    Graphs are undirected: each edge appears in both endpoints'
+    adjacency, as the paper's links are shared capacities whichever way
+    traffic runs. Parallel edges are permitted; self-loops are rejected
     because neither the physical cluster nor the virtual environment of
     the paper has them. *)
 
-type kind = Directed | Undirected
-
 type 'e t
 
-val create : ?kind:kind -> n:int -> unit -> 'e t
-(** [create ~n ()] is an edgeless graph on [n] nodes (default
-    {!Undirected}). Raises [Invalid_argument] if [n < 0]. *)
+val create : n:int -> unit -> 'e t
+(** [create ~n ()] is an edgeless graph on [n] nodes. Raises
+    [Invalid_argument] if [n < 0]. *)
 
-val kind : 'e t -> kind
 val n_nodes : 'e t -> int
 val n_edges : 'e t -> int
 
@@ -31,22 +28,15 @@ val endpoints : 'e t -> int -> int * int
 (** [(u, v)] as given at insertion. Raises on a bad edge id. *)
 
 val label : 'e t -> int -> 'e
-val set_label : 'e t -> int -> 'e -> unit
-
-val other_end : 'e t -> int -> int -> int
-(** [other_end g eid u] is the endpoint of [eid] that is not [u]. Raises
-    [Invalid_argument] when [u] is not an endpoint. *)
 
 val find_edge : 'e t -> int -> int -> int option
-(** An edge id joining the two nodes if one exists ([u]→[v] only, for
-    directed graphs). O(min degree). *)
+(** An edge id joining the two nodes if one exists. O(degree of [u]). *)
 
 val degree : 'e t -> int -> int
-(** Out-degree for directed graphs; incident-edge count otherwise. *)
+(** Incident-edge count. *)
 
 val iter_adj : 'e t -> int -> (neighbor:int -> eid:int -> unit) -> unit
-(** Iterates the adjacency of a node: for undirected graphs every
-    incident edge, for directed graphs outgoing edges only. *)
+(** Iterates every edge incident to a node, in insertion order. *)
 
 val fold_adj : 'e t -> int -> init:'a -> f:('a -> neighbor:int -> eid:int -> 'a) -> 'a
 
@@ -59,6 +49,3 @@ val fold_edges : 'e t -> init:'a -> f:('a -> eid:int -> u:int -> v:int -> 'e -> 
 
 val map_labels : 'e t -> f:(eid:int -> 'e -> 'f) -> 'f t
 (** Structure-preserving relabelling (fresh graph, same node/edge ids). *)
-
-val copy : 'e t -> 'e t
-(** Deep copy of structure; labels are shared. *)

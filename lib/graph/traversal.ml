@@ -1,38 +1,3 @@
-(* Directed graphs expose only out-edges through [iter_adj]; for weak
-   connectivity we need both directions, so build a reverse adjacency
-   view when required. *)
-let iter_undirected_adj g reverse u f =
-  Graph.iter_adj g u (fun ~neighbor ~eid:_ -> f neighbor);
-  match reverse with
-  | None -> ()
-  | Some rev -> List.iter f rev.(u)
-
-let reverse_adjacency g =
-  match Graph.kind g with
-  | Graph.Undirected -> None
-  | Graph.Directed ->
-    let rev = Array.make (Graph.n_nodes g) [] in
-    Graph.iter_edges g (fun ~eid:_ ~u ~v _ -> rev.(v) <- u :: rev.(v));
-    Some rev
-
-let bfs_order g ~src =
-  let n = Graph.n_nodes g in
-  let seen = Hmn_dstruct.Bitset.create n in
-  let queue = Queue.create () in
-  Hmn_dstruct.Bitset.add seen src;
-  Queue.add src queue;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    Graph.iter_adj g u (fun ~neighbor ~eid:_ ->
-        if not (Hmn_dstruct.Bitset.mem seen neighbor) then begin
-          Hmn_dstruct.Bitset.add seen neighbor;
-          Queue.add neighbor queue
-        end)
-  done;
-  List.rev !order
-
 let bfs_hops g ~src =
   let n = Graph.n_nodes g in
   let dist = Array.make n max_int in
@@ -49,29 +14,8 @@ let bfs_hops g ~src =
   done;
   dist
 
-let dfs_preorder g ~src =
-  let n = Graph.n_nodes g in
-  let seen = Hmn_dstruct.Bitset.create n in
-  let stack = Stack.create () in
-  Stack.push src stack;
-  let order = ref [] in
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    if not (Hmn_dstruct.Bitset.mem seen u) then begin
-      Hmn_dstruct.Bitset.add seen u;
-      order := u :: !order;
-      (* Push in reverse adjacency order so exploration follows
-         adjacency order. *)
-      let adj = Graph.adj_list g u in
-      List.iter (fun (v, _) -> if not (Hmn_dstruct.Bitset.mem seen v) then Stack.push v stack)
-        (List.rev adj)
-    end
-  done;
-  List.rev !order
-
 let components g =
   let n = Graph.n_nodes g in
-  let rev = reverse_adjacency g in
   let comp = Array.make n (-1) in
   let next = ref 0 in
   for start = 0 to n - 1 do
@@ -83,7 +27,7 @@ let components g =
       Queue.add start queue;
       while not (Queue.is_empty queue) do
         let u = Queue.pop queue in
-        iter_undirected_adj g rev u (fun v ->
+        Graph.iter_adj g u (fun ~neighbor:v ~eid:_ ->
             if comp.(v) = -1 then begin
               comp.(v) <- id;
               Queue.add v queue

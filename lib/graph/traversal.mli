@@ -1,24 +1,15 @@
-(** Breadth-first / depth-first traversals and connectivity. *)
-
-val bfs_order : 'e Graph.t -> src:int -> int list
-(** Nodes reachable from [src] in BFS visiting order (starting with
-    [src] itself). *)
+(** Breadth-first traversal and connectivity. *)
 
 val bfs_hops : 'e Graph.t -> src:int -> int array
 (** Hop distance from [src] to every node; unreachable nodes get
     [max_int]. *)
 
-val dfs_preorder : 'e Graph.t -> src:int -> int list
-(** Nodes reachable from [src] in (iterative) DFS preorder. Neighbors
-    are explored in adjacency order. *)
-
 val components : 'e Graph.t -> int array
 (** [components g] labels every node with a component id in
-    [0 .. k-1]; ids are assigned in order of lowest member node.
-    Directed graphs are treated as undirected (weak components). *)
+    [0 .. k-1]; ids are assigned in order of lowest member node. *)
 
 val n_components : 'e Graph.t -> int
 
 val is_connected : 'e Graph.t -> bool
-(** [true] when the graph has at most one (weak) component. The empty
-    graph counts as connected. *)
+(** [true] when the graph has at most one component. The empty graph
+    counts as connected. *)

@@ -292,11 +292,3 @@ let load_bundle ~path =
   match read_file path with
   | contents -> Result.bind (Json.of_string contents) bundle_of_json
   | exception Sys_error msg -> Error msg
-
-let save_problem ~path p =
-  write_file path (Json.to_string ~pretty:true (problem_to_json p))
-
-let load_problem ~path =
-  match read_file path with
-  | contents -> Result.bind (Json.of_string contents) problem_of_json
-  | exception Sys_error msg -> Error msg

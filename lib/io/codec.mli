@@ -42,5 +42,3 @@ val save_bundle : path:string -> Hmn_mapping.Mapping.t -> unit
 (** Pretty-printed {!bundle_to_json} to a file. *)
 
 val load_bundle : path:string -> (Hmn_mapping.Mapping.t, string) result
-val save_problem : path:string -> Hmn_mapping.Problem.t -> unit
-val load_problem : path:string -> (Hmn_mapping.Problem.t, string) result

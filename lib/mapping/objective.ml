@@ -44,8 +44,3 @@ let active_hosts placement =
   Hmn_prelude.Array_ext.count
     (fun h -> Placement.n_guests_on placement ~host:h > 0)
     (Cluster.host_ids cluster)
-
-let cpu_oversubscription placement =
-  Array.fold_left
-    (fun acc r -> if r < 0. then acc -. r else acc)
-    0. (residual_cpus placement)

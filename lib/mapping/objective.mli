@@ -27,8 +27,3 @@ val load_balance_after_migration :
 
 val active_hosts : Placement.t -> int
 (** Hosts running at least one guest — the consolidation objective. *)
-
-val cpu_oversubscription : Placement.t -> float
-(** Total negative residual CPU, as a positive number ([0.] when no
-    host is oversubscribed). Useful diagnostics for scenarios near
-    capacity. *)

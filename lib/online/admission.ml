@@ -1,8 +1,6 @@
 module Mapper = Hmn_core.Mapper
 module Cluster = Hmn_testbed.Cluster
 module Resources = Hmn_testbed.Resources
-module Link = Hmn_testbed.Link
-module Graph = Hmn_graph.Graph
 module Venv = Hmn_vnet.Virtual_env
 module Journal = Hmn_obs.Journal
 
@@ -155,34 +153,13 @@ let hardest_guest ~residual ~venv =
    exists in the fresh residual but was killed by the request's own
    earlier reservations counts as bandwidth. *)
 let classify_networking ~residual ~src ~dst ~bandwidth_mbps ~latency_ms =
-  let graph = Cluster.graph residual in
-  let n = Graph.n_nodes graph in
-  let feasible eid =
-    (Cluster.link residual eid).Link.bandwidth_mbps >= bandwidth_mbps
+  let bandwidths = Cluster.link_bandwidths residual in
+  let weight =
+    Array.mapi
+      (fun eid lat -> if bandwidths.(eid) >= bandwidth_mbps then lat else Float.infinity)
+      (Cluster.link_latencies residual)
   in
-  let dist = Array.make n Float.infinity in
-  let visited = Array.make n false in
-  dist.(src) <- 0.;
-  let continue = ref true in
-  while !continue do
-    let u = ref (-1) in
-    let best = ref Float.infinity in
-    for v = 0 to n - 1 do
-      if (not visited.(v)) && dist.(v) < !best then begin
-        u := v;
-        best := dist.(v)
-      end
-    done;
-    if !u < 0 then continue := false
-    else begin
-      visited.(!u) <- true;
-      Graph.iter_adj graph !u (fun ~neighbor ~eid ->
-          if feasible eid then begin
-            let d = dist.(!u) +. (Cluster.link residual eid).Link.latency_ms in
-            if d < dist.(neighbor) then dist.(neighbor) <- d
-          end)
-    end
-  done;
+  let dist = Hmn_graph.Csr.dijkstra_from (Cluster.csr residual) ~weight ~src in
   if dist.(dst) = Float.infinity then
     ( Journal.Bandwidth,
       Printf.sprintf "no path with %.3f Mbps free between hosts %d and %d"

@@ -1,11 +1,9 @@
 module Graph = Hmn_graph.Graph
-module Cluster = Hmn_testbed.Cluster
 module Virtual_env = Hmn_vnet.Virtual_env
 module Placement = Hmn_mapping.Placement
 module Problem = Hmn_mapping.Problem
 module Link_map = Hmn_mapping.Link_map
 module Mapping = Hmn_mapping.Mapping
-module Objective = Hmn_mapping.Objective
 module Path = Hmn_routing.Path
 module Migration = Hmn_core.Migration
 module Validator = Hmn_validate.Validator
@@ -122,86 +120,6 @@ let move_guest t ~guest ~host =
         | Error m -> failwith ("Incremental.move_guest: rollback migrate: " ^ m));
         restore_links ();
         Error msg))
-
-let evacuate_host t ~host =
-  let placement = t.mapping.Mapping.placement in
-  let link_map = t.mapping.Mapping.link_map in
-  let cluster = (Mapping.problem t.mapping).Problem.cluster in
-  let hosts = Cluster.host_ids cluster in
-  let moved = ref 0 in
-  (* Undo log for a failed drain: each entry is a guest that left [host]
-     together with its incident (vlink, path) snapshot taken just before
-     its move, most recent move first. Unwinding in LIFO order replays
-     the exact inverse state transitions, so every intermediate restore
-     is guaranteed to fit (each state was valid when first visited). *)
-  let undo = ref [] in
-  let unwind () =
-    List.iter
-      (fun (guest, old_links) ->
-        List.iter
-          (fun (vlink, _, _) ->
-            match Link_map.path_of link_map ~vlink with
-            | Some _ -> (
-              match Link_map.unassign link_map ~vlink with
-              | Ok () -> ()
-              | Error m -> failwith ("Incremental.evacuate_host: rollback: " ^ m))
-            | None -> ())
-          old_links;
-        (match Placement.migrate placement ~guest ~host with
-        | Ok () -> ()
-        | Error m ->
-          failwith ("Incremental.evacuate_host: rollback migrate: " ^ m));
-        List.iter
-          (fun (vlink, _, path) ->
-            match path with
-            | Some p -> (
-              match Link_map.assign link_map ~vlink p with
-              | Ok () -> ()
-              | Error m -> failwith ("Incremental.evacuate_host: rollback: " ^ m))
-            | None -> ())
-          old_links)
-      !undo
-  in
-  let rec drain () =
-    match Placement.guests_on placement ~host with
-    | [] -> Ok !moved
-    | guest :: _ ->
-      (* Candidate targets ordered by the LBF the move would yield. *)
-      let candidates =
-        List.filter_map
-          (fun h ->
-            if h = host then None
-            else
-              Option.map
-                (fun lbf -> (lbf, h))
-                (Objective.load_balance_after_migration placement ~guest ~host:h))
-          (Array.to_list hosts)
-      in
-      let ordered =
-        List.map snd (List.sort (fun (a, _) (b, _) -> Float.compare a b) candidates)
-      in
-      let rec try_targets = function
-        | [] ->
-          Error
-            (Printf.sprintf
-               "guest %d cannot leave host %d: no target accepts it with its links"
-               guest host)
-        | target :: rest -> (
-          let before = incident_links t guest in
-          match move_guest t ~guest ~host:target with
-          | Ok () ->
-            undo := (guest, before) :: !undo;
-            incr moved;
-            Ok ()
-          | Error _ -> try_targets rest)
-      in
-      (match try_targets ordered with Ok () -> drain () | Error e -> Error e)
-  in
-  match drain () with
-  | Ok n -> Ok n
-  | Error e ->
-    unwind ();
-    Error (e ^ Printf.sprintf "; rolled back the %d guest(s) already moved" !moved)
 
 let rebalance ?max_moves t =
   let problem = Mapping.problem t.mapping in

@@ -1,9 +1,8 @@
 (** Incremental operations on a live mapping.
 
     The paper's context is a fully-automated emulation testbed: once an
-    environment is deployed, testers reconfigure it — a host is drained
-    for maintenance, a hot spot is rebalanced — without tearing down
-    every guest. These operations mutate a complete, valid mapping
+    environment is deployed, testers reconfigure it — a guest is moved,
+    a hot spot is rebalanced — without tearing down every guest. These operations mutate a complete, valid mapping
     while preserving validity: every move re-routes the affected
     virtual links and rolls the whole operation back if any of them
     cannot be re-routed.
@@ -32,16 +31,6 @@ val move_guest : t -> guest:int -> host:int -> (unit, string) result
     A\*Prune. On any failure (target does not fit, or some link cannot
     be re-routed) the mapping is restored exactly and an explanation
     returned. *)
-
-val evacuate_host : t -> host:int -> (int, string) result
-(** Drains a host for maintenance: moves every resident guest to the
-    feasible host currently yielding the best (lowest)
-    post-move load-balance factor. Returns the number of guests moved.
-
-    On failure (some guest cannot leave — the error names it), the moves
-    already made are unwound in LIFO order, restoring every migrated
-    guest to [host] {e with its original link paths}, so a failed drain
-    leaves the mapping exactly as found. *)
 
 val rebalance : ?max_moves:int -> t -> int
 (** The Migration stage on a live mapping: repeatedly moves the

@@ -18,8 +18,6 @@ let arg_max f xs = extremum_index "Array_ext.arg_max: empty array" ( > ) f xs
 let min_by f xs = xs.(arg_min f xs)
 let max_by f xs = xs.(arg_max f xs)
 
-let sort_by key xs = Array.stable_sort (fun a b -> Float.compare (key a) (key b)) xs
-
 let sort_by_desc key xs =
   Array.stable_sort (fun a b -> Float.compare (key b) (key a)) xs
 
@@ -53,5 +51,3 @@ let find_index_opt p xs =
   go 0
 
 let count p xs = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 xs
-
-let init_matrix rows cols f = Array.init rows (fun i -> Array.init cols (f i))

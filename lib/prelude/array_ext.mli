@@ -16,9 +16,6 @@ val arg_min : ('a -> float) -> 'a array -> int
 val arg_max : ('a -> float) -> 'a array -> int
 (** Index of the first maximizing element. Raises on empty input. *)
 
-val sort_by : ('a -> float) -> 'a array -> unit
-(** [sort_by key xs] sorts [xs] in place, ascending by [key]. Stable. *)
-
 val sort_by_desc : ('a -> float) -> 'a array -> unit
 (** [sort_by_desc key xs] sorts [xs] in place, descending by [key]. Stable. *)
 
@@ -42,7 +39,3 @@ val find_index_opt : ('a -> bool) -> 'a array -> int option
 
 val count : ('a -> bool) -> 'a array -> int
 (** Number of elements satisfying the predicate. *)
-
-val init_matrix : int -> int -> (int -> int -> 'a) -> 'a array array
-(** [init_matrix rows cols f] builds a fresh [rows]×[cols] matrix where
-    cell [(i, j)] holds [f i j]. *)

@@ -26,7 +26,3 @@ let sum xs =
 let mean xs =
   if Array.length xs = 0 then invalid_arg "Float_ext.mean: empty array";
   sum xs /. float_of_int (Array.length xs)
-
-let round_to digits x =
-  let f = 10. ** float_of_int digits in
-  Float.round (x *. f) /. f

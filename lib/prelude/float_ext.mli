@@ -23,6 +23,3 @@ val sum : float array -> float
 
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
-
-val round_to : int -> float -> float
-(** [round_to digits x] rounds [x] to [digits] decimal places. *)

@@ -43,9 +43,3 @@ let pairs xs =
     | x :: rest -> List.map (fun y -> (x, y)) rest @ go rest
   in
   go xs
-
-let unfold step init =
-  let rec go s =
-    match step s with None -> [] | Some (x, s') -> x :: go s'
-  in
-  go init

@@ -23,7 +23,3 @@ val group_by : ('a -> 'k) -> 'a list -> ('k * 'a list) list
 val pairs : 'a list -> ('a * 'a) list
 (** All unordered pairs of distinct positions: [pairs [1;2;3]] is
     [[(1,2); (1,3); (2,3)]]. *)
-
-val unfold : ('s -> ('a * 's) option) -> 's -> 'a list
-(** Anamorphism: generates elements until the step function returns
-    [None]. *)

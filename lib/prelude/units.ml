@@ -1,9 +1,7 @@
-let mbps_of_gbps g = g *. 1000.
 let mbps_of_kbps k = k /. 1000.
 let mb_of_gb g = g *. 1024.
 let gb_of_tb t = t *. 1024.
 let seconds_of_ms ms = ms /. 1000.
-let ms_of_seconds s = s *. 1000.
 
 let pp_bandwidth ppf mbps =
   if mbps >= 1000. then Format.fprintf ppf "%.2fGbps" (mbps /. 1000.)

@@ -12,12 +12,10 @@
 
     These helpers convert the paper's mixed units into canonical ones. *)
 
-val mbps_of_gbps : float -> float
 val mbps_of_kbps : float -> float
 val mb_of_gb : float -> float
 val gb_of_tb : float -> float
 val seconds_of_ms : float -> float
-val ms_of_seconds : float -> float
 
 val pp_bandwidth : Format.formatter -> float -> unit
 (** Pretty-prints a bandwidth in Mbps, choosing kbps/Mbps/Gbps display. *)

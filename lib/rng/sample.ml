@@ -4,11 +4,6 @@ let shuffle rng xs =
     Hmn_prelude.Array_ext.swap xs i j
   done
 
-let shuffled_copy rng xs =
-  let copy = Array.copy xs in
-  shuffle rng copy;
-  copy
-
 let choice rng xs =
   if Array.length xs = 0 then invalid_arg "Sample.choice: empty array";
   xs.(Rng.int rng ~bound:(Array.length xs))

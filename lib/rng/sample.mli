@@ -3,9 +3,6 @@
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val shuffled_copy : Rng.t -> 'a array -> 'a array
-(** Fresh shuffled copy; the input is untouched. *)
-
 val choice : Rng.t -> 'a array -> 'a
 (** Uniform element. Raises [Invalid_argument] on an empty array. *)
 

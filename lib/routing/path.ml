@@ -20,7 +20,6 @@ let dst t = t.nodes.(Array.length t.nodes - 1)
 let hop_count t = Array.length t.edges
 let is_intra_host t = Array.length t.edges = 0
 
-let mem_edge t eid = Array.exists (Int.equal eid) t.edges
 let iter_edges t f = Array.iter f t.edges
 
 let total_latency cluster t =

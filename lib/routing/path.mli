@@ -23,7 +23,6 @@ val dst : t -> int
 val hop_count : t -> int
 val is_intra_host : t -> bool
 
-val mem_edge : t -> int -> bool
 val iter_edges : t -> (int -> unit) -> unit
 
 val total_latency : Hmn_testbed.Cluster.t -> t -> float

@@ -45,8 +45,6 @@ let group_racks nodes host_ids =
 let create ~nodes ~graph =
   if Array.length nodes <> Graph.n_nodes graph then
     invalid_arg "Cluster.create: node array / graph size mismatch";
-  if Graph.kind graph = Graph.Directed then
-    invalid_arg "Cluster.create: cluster graphs are undirected";
   let host_ids =
     Array.of_list
       (List.filter

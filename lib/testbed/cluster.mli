@@ -6,7 +6,7 @@ type t
 
 val create : nodes:Node.t array -> graph:Link.t Hmn_graph.Graph.t -> t
 (** Raises [Invalid_argument] when the node array length differs from
-    the graph's node count, or the graph is directed. Eagerly builds
+    the graph's node count. Eagerly builds
     the CSR routing view and the flat per-edge latency/bandwidth
     arrays — O(nodes + links), paid once per cluster. *)
 

@@ -26,8 +26,6 @@ let scale k a = { mips = k *. a.mips; mem_mb = k *. a.mem_mb; stor_gb = k *. a.s
 
 let sum xs = List.fold_left add zero xs
 
-let le a b = a.mips <= b.mips && a.mem_mb <= b.mem_mb && a.stor_gb <= b.stor_gb
-
 let fits_mem_stor ~demand ~avail =
   demand.mem_mb <= avail.mem_mb && demand.stor_gb <= avail.stor_gb
 

@@ -25,9 +25,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val sum : t list -> t
 
-val le : t -> t -> bool
-(** Component-wise [<=] on all three components. *)
-
 val fits_mem_stor : demand:t -> avail:t -> bool
 (** The paper's feasibility test (Eqs. 2–3): memory and storage of the
     demand fit in the availability; CPU is ignored. *)

@@ -9,8 +9,6 @@ type t = {
 let create ~guests ~graph =
   if Array.length guests <> Graph.n_nodes graph then
     invalid_arg "Virtual_env.create: guest array / graph size mismatch";
-  if Graph.kind graph = Graph.Directed then
-    invalid_arg "Virtual_env.create: virtual environments are undirected";
   { guests; graph }
 
 let graph t = t.graph

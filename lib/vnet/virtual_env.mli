@@ -5,8 +5,8 @@ type t
 
 val create : guests:Guest.t array -> graph:Vlink.t Hmn_graph.Graph.t -> t
 (** Raises [Invalid_argument] when the guest array length differs from
-    the graph's node count or the graph is directed (virtual links are
-    bidirectional demands in the paper's model). *)
+    the graph's node count. Virtual links are bidirectional demands in
+    the paper's model, as {!Hmn_graph.Graph} edges are undirected. *)
 
 val graph : t -> Vlink.t Hmn_graph.Graph.t
 val n_guests : t -> int

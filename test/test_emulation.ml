@@ -171,8 +171,8 @@ let test_unrouted_link_rejected () =
       ignore (Exec_sim.run m))
 
 let test_sims_deterministic () =
-  (* Same mapping -> bit-identical simulation results, for both
-     models (the DES has no hidden randomness). *)
+  (* Same mapping -> bit-identical simulation results (the DES has no
+     hidden randomness). *)
   let rng = Hmn_rng.Rng.create 55 in
   let cluster =
     Hmn_testbed.Cluster_gen.torus_cluster ~vmm:Hmn_testbed.Vmm.none ~rows:3 ~cols:3
@@ -188,11 +188,7 @@ let test_sims_deterministic () =
   | Ok mapping ->
     let a = Exec_sim.run mapping and b = Exec_sim.run mapping in
     check_float "BSP makespan" a.Exec_sim.makespan_s b.Exec_sim.makespan_s;
-    Alcotest.(check int) "BSP events" a.Exec_sim.events b.Exec_sim.events;
-    let ra = Hmn_emulation.Request_sim.run mapping in
-    let rb = Hmn_emulation.Request_sim.run mapping in
-    check_float "RPC makespan" ra.Hmn_emulation.Request_sim.makespan_s
-      rb.Hmn_emulation.Request_sim.makespan_s
+    Alcotest.(check int) "BSP events" a.Exec_sim.events b.Exec_sim.events
 
 let test_zero_cpu_guest () =
   (* A guest demanding 0 MIPS has zero work and finishes instantly. *)
@@ -202,113 +198,6 @@ let test_zero_cpu_guest () =
   in
   let r = Exec_sim.run ~app:(app ()) m in
   check_float "instant" 0. r.Exec_sim.makespan_s
-
-(* ---- Request_sim ---- *)
-
-module Request_sim = Hmn_emulation.Request_sim
-
-let req_params ?(cpu_model = App.Proportional_share) ?(rounds = 1)
-    ?(service = 0.02) () =
-  { Request_sim.rounds; service_seconds = service; cpu_model }
-
-let test_request_colocated_pair () =
-  (* A and B co-located: zero latency; both serve one 2-MI job at rate
-     500 MIPS (two active guests sharing 1000 MIPS): rtt = 0.004. *)
-  let vg = Graph.create ~n:2 () in
-  ignore (Graph.add_edge vg 0 1 (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.));
-  let m = build_mapping ~guests:[| guest 100.; guest 100. |] ~vgraph:vg ~hosts_of:[| 0; 0 |] in
-  let r = Request_sim.run ~params:(req_params ()) m in
-  Alcotest.(check int) "both directions" 2 r.Request_sim.requests_completed;
-  check_float "makespan" 0.004 r.Request_sim.makespan_s;
-  check_float "mean rtt" 0.004 r.Request_sim.mean_response_s
-
-let test_request_separated_pair () =
-  (* Separated: 5 ms each way; each server is alone when serving and
-     runs at 10x nominal (proportional): 2 MI / 1000 MIPS = 2 ms.
-     rtt = 5 + 2 + 5 = 12 ms. *)
-  let vg = Graph.create ~n:2 () in
-  ignore (Graph.add_edge vg 0 1 (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.));
-  let m = build_mapping ~guests:[| guest 100.; guest 100. |] ~vgraph:vg ~hosts_of:[| 0; 1 |] in
-  let r = Request_sim.run ~params:(req_params ()) m in
-  check_float "makespan" 0.012 r.Request_sim.makespan_s;
-  check_float "max rtt" 0.012 r.Request_sim.max_response_s
-
-let test_request_capped_model () =
-  (* Capped: the server is pinned at its 100 MIPS: service = 20 ms;
-     rtt = 5 + 20 + 5 = 30 ms. *)
-  let vg = Graph.create ~n:2 () in
-  ignore (Graph.add_edge vg 0 1 (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.));
-  let m = build_mapping ~guests:[| guest 100.; guest 100. |] ~vgraph:vg ~hosts_of:[| 0; 1 |] in
-  let r = Request_sim.run ~params:(req_params ~cpu_model:App.Capped_fair_share ()) m in
-  check_float "makespan" 0.03 r.Request_sim.makespan_s
-
-let test_request_rounds_scale () =
-  let vg = Graph.create ~n:2 () in
-  ignore (Graph.add_edge vg 0 1 (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.));
-  let m = build_mapping ~guests:[| guest 100.; guest 100. |] ~vgraph:vg ~hosts_of:[| 0; 1 |] in
-  let one = Request_sim.run ~params:(req_params ~rounds:1 ()) m in
-  let three = Request_sim.run ~params:(req_params ~rounds:3 ()) m in
-  Alcotest.(check int) "3x requests" (3 * one.Request_sim.requests_completed)
-    three.Request_sim.requests_completed;
-  check_float "closed loop: linear makespan" (3. *. one.Request_sim.makespan_s)
-    three.Request_sim.makespan_s
-
-let test_request_hub_queueing () =
-  (* A star: the hub serves every leaf, so requests queue FIFO and the
-     max response time exceeds an isolated pair's. *)
-  let n = 5 in
-  let vg = Graph.create ~n () in
-  for leaf = 1 to n - 1 do
-    ignore (Graph.add_edge vg 0 leaf (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.))
-  done;
-  let m =
-    build_mapping
-      ~guests:(Array.init n (fun _ -> guest 100.))
-      ~vgraph:vg
-      ~hosts_of:(Array.init n (fun i -> if i = 0 then 0 else 1))
-  in
-  let r = Request_sim.run ~params:(req_params ~cpu_model:App.Capped_fair_share ()) m in
-  (* An isolated capped pair has rtt 0.03; the hub's FIFO makes the
-     last leaf wait for the previous services. *)
-  Alcotest.(check bool) "queueing visible" true (r.Request_sim.max_response_s > 0.03 +. 1e-9);
-  Alcotest.(check int) "all answered" (2 * (n - 1)) r.Request_sim.requests_completed
-
-let test_request_unrouted_rejected () =
-  let cluster = two_host_cluster () in
-  let vg = Graph.create ~n:2 () in
-  ignore (Graph.add_edge vg 0 1 (Vlink.make ~bandwidth_mbps:10. ~latency_ms:40.));
-  let venv = Venv.create ~guests:[| guest 100.; guest 100. |] ~graph:vg in
-  let problem = Problem.make ~cluster ~venv in
-  let placement = Placement.create problem in
-  ignore (Placement.assign placement ~guest:0 ~host:0);
-  ignore (Placement.assign placement ~guest:1 ~host:1);
-  let m = Mapping.make ~placement ~link_map:(Link_map.create problem) in
-  Alcotest.check_raises "unrouted"
-    (Invalid_argument "Request_sim.run: inter-host virtual link 0 unrouted")
-    (fun () -> ignore (Request_sim.run m))
-
-let prop_request_sim_finishes =
-  QCheck.Test.make ~name:"request simulation always drains on valid mappings"
-    ~count:20 QCheck.small_nat
-    (fun seed ->
-      let rng = Hmn_rng.Rng.create (seed + 300) in
-      let cluster =
-        Hmn_testbed.Cluster_gen.torus_cluster ~vmm:Hmn_testbed.Vmm.none ~rows:3
-          ~cols:3 ~rng ()
-      in
-      let venv =
-        Hmn_vnet.Venv_gen.generate ~scale_to_fit:(cluster, 0.7)
-          ~profile:Hmn_vnet.Workload.high_level ~n:25 ~density:0.1 ~rng ()
-      in
-      let problem = Problem.make ~cluster ~venv in
-      match (Hmn_core.Hmn.run problem).Hmn_core.Mapper.result with
-      | Error _ -> true
-      | Ok mapping ->
-        let r = Request_sim.run mapping in
-        Float.is_finite r.Request_sim.makespan_s
-        && r.Request_sim.requests_completed
-           = 2 * Request_sim.default_params.Request_sim.rounds
-             * Hmn_vnet.Virtual_env.n_vlinks venv)
 
 (* ---- Correlate ---- *)
 
@@ -394,16 +283,6 @@ let () =
           Alcotest.test_case "unrouted rejected" `Quick test_unrouted_link_rejected;
           Alcotest.test_case "deterministic" `Quick test_sims_deterministic;
           Alcotest.test_case "zero-CPU guest" `Quick test_zero_cpu_guest;
-        ] );
-      ( "request_sim",
-        [
-          Alcotest.test_case "co-located pair" `Quick test_request_colocated_pair;
-          Alcotest.test_case "separated pair" `Quick test_request_separated_pair;
-          Alcotest.test_case "capped model" `Quick test_request_capped_model;
-          Alcotest.test_case "rounds scale" `Quick test_request_rounds_scale;
-          Alcotest.test_case "hub queueing" `Quick test_request_hub_queueing;
-          Alcotest.test_case "unrouted rejected" `Quick test_request_unrouted_rejected;
-          QCheck_alcotest.to_alcotest prop_request_sim_finishes;
         ] );
       ( "correlate",
         [

@@ -223,9 +223,7 @@ let test_active_hosts_and_oversubscription () =
   for g = 0 to 3 do
     ignore (Placement.assign p ~guest:g ~host:0)
   done;
-  Alcotest.(check int) "one active" 1 (Objective.active_hosts p);
-  Alcotest.(check (float 1e-9)) "no oversubscription (600 residual)" 0.
-    (Objective.cpu_oversubscription p)
+  Alcotest.(check int) "one active" 1 (Objective.active_hosts p)
 
 (* ---- Link_map ---- *)
 
@@ -396,61 +394,6 @@ let test_report_renders () =
   Alcotest.(check int) "hot links truncated to top 2" 5
     (List.length (String.split_on_char '\n' hot))
 
-(* ---- Diff ---- *)
-
-let test_diff_identical () =
-  let _, m = valid_mapping () in
-  let d = Hmn_mapping.Diff.diff m m in
-  Alcotest.(check bool) "empty" true (Hmn_mapping.Diff.is_empty d);
-  Alcotest.(check (float 1e-9)) "objective unchanged" d.Hmn_mapping.Diff.objective_before
-    d.Hmn_mapping.Diff.objective_after
-
-let test_diff_detects_changes () =
-  let problem, before = valid_mapping () in
-  (* Build an "after" mapping on the SAME problem with guest 1 moved
-     and its link routed differently. *)
-  let p = Placement.create problem in
-  ignore (Placement.assign p ~guest:0 ~host:1);
-  ignore (Placement.assign p ~guest:1 ~host:2) (* was host 0 *);
-  ignore (Placement.assign p ~guest:2 ~host:2);
-  ignore (Placement.assign p ~guest:3 ~host:1);
-  let lm = Link_map.create problem in
-  let e12 = phys_edge problem 1 2 in
-  (* vm0@1 - vm1@2 over edge 1-2; vm0@1 - vm2@2 likewise; vm0-vm3 intra. *)
-  ignore (Link_map.assign lm ~vlink:0 (Path.make ~nodes:[ 1; 2 ] ~edges:[ e12 ]));
-  ignore (Link_map.assign lm ~vlink:1 (Path.make ~nodes:[ 1; 2 ] ~edges:[ e12 ]));
-  ignore (Link_map.assign lm ~vlink:2 (Path.trivial 1));
-  let after = Mapping.make ~placement:p ~link_map:lm in
-  let d = Hmn_mapping.Diff.diff before after in
-  Alcotest.(check (list (triple int int int))) "guest 1 moved" [ (1, 0, 2) ]
-    d.Hmn_mapping.Diff.moved_guests;
-  Alcotest.(check (list int)) "vlink 0 rerouted" [ 0 ] d.Hmn_mapping.Diff.rerouted_links;
-  Alcotest.(check bool) "summary mentions move" true
-    (String.length (Hmn_mapping.Diff.summary d) > 0);
-  Alcotest.(check bool) "not empty" false (Hmn_mapping.Diff.is_empty d)
-
-let test_diff_unmapped_tracking () =
-  let problem, full = valid_mapping () in
-  let p = Placement.create problem in
-  ignore (Placement.assign p ~guest:0 ~host:1);
-  ignore (Placement.assign p ~guest:1 ~host:0);
-  ignore (Placement.assign p ~guest:2 ~host:2);
-  ignore (Placement.assign p ~guest:3 ~host:1);
-  let lm = Link_map.create problem in
-  let partial = Mapping.make ~placement:p ~link_map:lm in
-  let d = Hmn_mapping.Diff.diff full partial in
-  Alcotest.(check int) "three links lost" 3 (List.length d.Hmn_mapping.Diff.unmapped);
-  let d' = Hmn_mapping.Diff.diff partial full in
-  Alcotest.(check int) "three links gained" 3
-    (List.length d'.Hmn_mapping.Diff.newly_mapped)
-
-let test_diff_rejects_different_problems () =
-  let _, a = valid_mapping () in
-  let _, b = valid_mapping () in
-  Alcotest.check_raises "different problems"
-    (Invalid_argument "Diff.diff: mappings of different problems") (fun () ->
-      ignore (Hmn_mapping.Diff.diff a b))
-
 (* ---- property: random valid operations keep internal accounting
    consistent with a from-scratch recomputation ---- *)
 
@@ -536,14 +479,6 @@ let () =
           Alcotest.test_case "metrics" `Quick test_mapping_metrics;
           Alcotest.test_case "problem mismatch" `Quick test_mapping_problem_mismatch;
           Alcotest.test_case "report renders" `Quick test_report_renders;
-        ] );
-      ( "diff",
-        [
-          Alcotest.test_case "identical" `Quick test_diff_identical;
-          Alcotest.test_case "detects changes" `Quick test_diff_detects_changes;
-          Alcotest.test_case "unmapped tracking" `Quick test_diff_unmapped_tracking;
-          Alcotest.test_case "rejects different problems" `Quick
-            test_diff_rejects_different_problems;
         ] );
       ("properties", [ q prop_placement_accounting_consistent ]);
     ]

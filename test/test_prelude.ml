@@ -42,11 +42,6 @@ let test_mean () =
   Alcotest.check_raises "empty" (Invalid_argument "Float_ext.mean: empty array")
     (fun () -> ignore (Float_ext.mean [||]))
 
-let test_round_to () =
-  check_float "2 digits" 3.14 (Float_ext.round_to 2 3.14159);
-  check_float "0 digits" 3. (Float_ext.round_to 0 3.14159);
-  check_float "negative" (-2.7) (Float_ext.round_to 1 (-2.71))
-
 let test_is_finite () =
   Alcotest.(check bool) "finite" true (Float_ext.is_finite 1.0);
   Alcotest.(check bool) "inf" false (Float_ext.is_finite infinity);
@@ -73,17 +68,15 @@ let test_arg_min_max () =
   Alcotest.(check int) "arg_max" 0 (Array_ext.arg_max float_of_int [| 5; 3; 4 |])
 
 let test_sort_by () =
-  let xs = [| 3; 1; 2 |] in
-  Array_ext.sort_by float_of_int xs;
-  Alcotest.(check (array int)) "ascending" [| 1; 2; 3 |] xs;
+  let xs = [| 1; 3; 2 |] in
   Array_ext.sort_by_desc float_of_int xs;
   Alcotest.(check (array int)) "descending" [| 3; 2; 1 |] xs
 
 let test_sort_stability () =
   (* Equal keys keep their input order. *)
-  let xs = [| ("a", 1.); ("b", 1.); ("c", 0.) |] in
-  Array_ext.sort_by snd xs;
-  Alcotest.(check (list string)) "stable" [ "c"; "a"; "b" ]
+  let xs = [| ("c", 0.); ("a", 1.); ("b", 1.) |] in
+  Array_ext.sort_by_desc snd xs;
+  Alcotest.(check (list string)) "stable" [ "a"; "b"; "c" ]
     (Array.to_list (Array.map fst xs))
 
 let test_swap_find_count () =
@@ -95,11 +88,6 @@ let test_swap_find_count () =
   Alcotest.(check (option int)) "find miss" None
     (Array_ext.find_index_opt (( = ) 9) xs);
   Alcotest.(check int) "count" 2 (Array_ext.count (fun x -> x > 1) xs)
-
-let test_init_matrix () =
-  let m = Array_ext.init_matrix 2 3 (fun i j -> (10 * i) + j) in
-  Alcotest.(check int) "rows" 2 (Array.length m);
-  Alcotest.(check (array int)) "row 1" [| 10; 11; 12 |] m.(1)
 
 (* ---- List_ext ---- *)
 
@@ -127,10 +115,6 @@ let test_pairs () =
   Alcotest.(check (list (pair int int)))
     "pairs" [ (1, 2); (1, 3); (2, 3) ] (List_ext.pairs [ 1; 2; 3 ]);
   Alcotest.(check (list (pair int int))) "singleton" [] (List_ext.pairs [ 1 ])
-
-let test_unfold () =
-  let countdown = List_ext.unfold (fun n -> if n = 0 then None else Some (n, n - 1)) 3 in
-  Alcotest.(check (list int)) "countdown" [ 3; 2; 1 ] countdown
 
 (* ---- Pretty_table ---- *)
 
@@ -169,12 +153,10 @@ let test_table_arity_errors () =
 (* ---- Units ---- *)
 
 let test_conversions () =
-  check_float "gbps" 1000. (Units.mbps_of_gbps 1.);
   check_float "kbps" 0.175 (Units.mbps_of_kbps 175.);
   check_float "gb" 2048. (Units.mb_of_gb 2.);
   check_float "tb" 3072. (Units.gb_of_tb 3.);
-  check_float "ms" 0.005 (Units.seconds_of_ms 5.);
-  check_float "s" 5. (Units.ms_of_seconds 0.005)
+  check_float "ms" 0.005 (Units.seconds_of_ms 5.)
 
 let test_pretty_units () =
   Alcotest.(check string) "gbps display" "1.00Gbps"
@@ -615,17 +597,6 @@ let prop_sum_matches_fold =
       let naive = Array.fold_left ( +. ) 0. xs in
       Float_ext.approx ~eps:1e-6 naive (Float_ext.sum xs))
 
-let prop_sort_by_sorts =
-  QCheck.Test.make ~name:"sort_by yields ascending keys" ~count:300
-    QCheck.(array_of_size Gen.(int_range 0 50) small_int)
-    (fun xs ->
-      Array_ext.sort_by float_of_int xs;
-      let ok = ref true in
-      for i = 0 to Array.length xs - 2 do
-        if xs.(i) > xs.(i + 1) then ok := false
-      done;
-      !ok)
-
 (* [resift] after one key change lands the element where a fresh
    stable [sort_by_desc] puts it. Keys come from a small menu holding
    both zeros, so ties are the common case, and the elements start in
@@ -688,7 +659,6 @@ let () =
           Alcotest.test_case "lerp" `Quick test_lerp;
           Alcotest.test_case "kahan sum" `Quick test_sum_kahan;
           Alcotest.test_case "mean" `Quick test_mean;
-          Alcotest.test_case "round_to" `Quick test_round_to;
           Alcotest.test_case "is_finite" `Quick test_is_finite;
         ] );
       ( "array_ext",
@@ -699,7 +669,6 @@ let () =
           Alcotest.test_case "sort_by" `Quick test_sort_by;
           Alcotest.test_case "sort stability" `Quick test_sort_stability;
           Alcotest.test_case "swap/find/count" `Quick test_swap_find_count;
-          Alcotest.test_case "init_matrix" `Quick test_init_matrix;
         ] );
       ( "list_ext",
         [
@@ -707,7 +676,6 @@ let () =
           Alcotest.test_case "min/max_by" `Quick test_list_min_max;
           Alcotest.test_case "group_by" `Quick test_group_by;
           Alcotest.test_case "pairs" `Quick test_pairs;
-          Alcotest.test_case "unfold" `Quick test_unfold;
         ] );
       ( "pretty_table",
         [
@@ -750,7 +718,6 @@ let () =
         [
           q prop_clamp_in_range;
           q prop_sum_matches_fold;
-          q prop_sort_by_sorts;
           q prop_resift_matches_sort;
           q prop_take_drop_partition;
           q prop_group_by_preserves_elements;

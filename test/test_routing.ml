@@ -42,7 +42,6 @@ let test_path_basics () =
   Alcotest.(check int) "hops" 2 (Path.hop_count p);
   Alcotest.(check bool) "not intra" false (Path.is_intra_host p);
   Alcotest.(check (float 1e-9)) "latency" 10. (Path.total_latency cluster p);
-  Alcotest.(check bool) "mem_edge" true (Path.mem_edge p e01);
   let trivial = Path.trivial 2 in
   Alcotest.(check bool) "trivial intra" true (Path.is_intra_host trivial);
   Alcotest.(check (float 1e-9)) "trivial latency" 0.
