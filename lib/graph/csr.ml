@@ -5,7 +5,38 @@ type t = {
   offsets : int array;
   neighbors : int array;
   edge_ids : int array;
+  (* The leaf-free view: the same slices with every arc to a degree-1
+     neighbor left out, in the same order. Shares the full arrays when
+     the graph has no such arc. *)
+  lf_offsets : int array;
+  lf_neighbors : int array;
+  lf_edge_ids : int array;
 }
+
+let leaf_free ~n ~offsets ~neighbors ~edge_ids =
+  let leaf v = offsets.(v + 1) - offsets.(v) = 1 in
+  let lf_offsets = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let kept = ref 0 in
+    for k = offsets.(u) to offsets.(u + 1) - 1 do
+      if not (leaf neighbors.(k)) then incr kept
+    done;
+    lf_offsets.(u + 1) <- lf_offsets.(u) + !kept
+  done;
+  let n_arcs = offsets.(n) and lf_arcs = lf_offsets.(n) in
+  if lf_arcs = n_arcs then (offsets, neighbors, edge_ids)
+  else begin
+    let lf_neighbors = Array.make lf_arcs 0 and lf_edge_ids = Array.make lf_arcs 0 in
+    let pos = ref 0 in
+    for k = 0 to n_arcs - 1 do
+      if not (leaf neighbors.(k)) then begin
+        lf_neighbors.(!pos) <- neighbors.(k);
+        lf_edge_ids.(!pos) <- edge_ids.(k);
+        incr pos
+      end
+    done;
+    (lf_offsets, lf_neighbors, lf_edge_ids)
+  end
 
 let of_graph g =
   let n = Graph.n_nodes g in
@@ -27,7 +58,20 @@ let of_graph g =
         edge_ids.(!pos) <- eid;
         incr pos)
   done;
-  { n_nodes = n; n_arcs; n_edges = Graph.n_edges g; offsets; neighbors; edge_ids }
+  let lf_offsets, lf_neighbors, lf_edge_ids =
+    leaf_free ~n ~offsets ~neighbors ~edge_ids
+  in
+  {
+    n_nodes = n;
+    n_arcs;
+    n_edges = Graph.n_edges g;
+    offsets;
+    neighbors;
+    edge_ids;
+    lf_offsets;
+    lf_neighbors;
+    lf_edge_ids;
+  }
 
 let n_nodes t = t.n_nodes
 let n_arcs t = t.n_arcs
@@ -35,6 +79,9 @@ let n_edges t = t.n_edges
 let offsets t = t.offsets
 let neighbors t = t.neighbors
 let edge_ids t = t.edge_ids
+let leaf_free_offsets t = t.lf_offsets
+let leaf_free_neighbors t = t.lf_neighbors
+let leaf_free_edge_ids t = t.lf_edge_ids
 
 let degree t u =
   if u < 0 || u >= t.n_nodes then invalid_arg "Csr.degree: node out of range";

@@ -42,6 +42,22 @@ val offsets : t -> int array
 val neighbors : t -> int array
 val edge_ids : t -> int array
 
+(** {2 Leaf-free view}
+
+    The same layout with every arc whose neighbor has degree 1 left
+    out: node [u]'s slice [leaf_free_offsets.(u) ..
+    leaf_free_offsets.(u+1) - 1] of [leaf_free_neighbors] and
+    [leaf_free_edge_ids] is its full slice minus the arcs to leaf
+    neighbors, in the same order. A path search that cannot use a
+    dead-end leaf skips a leaf switch's host arcs without reading
+    them. Built with the view; when no node has a leaf neighbor the
+    three arrays are the full ones. Owned by the view: callers must
+    not mutate. *)
+
+val leaf_free_offsets : t -> int array
+val leaf_free_neighbors : t -> int array
+val leaf_free_edge_ids : t -> int array
+
 (** {2 Derived queries} *)
 
 val degree : t -> int -> int

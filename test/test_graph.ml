@@ -383,6 +383,44 @@ let prop_csr_matches_adjacency =
       done;
       !ok)
 
+(* The leaf-free view on graphs with and without leaves: random sparse
+   graphs, random trees and Clos fabrics (whose hosts are all leaves). *)
+let prop_csr_leaf_free_slices =
+  QCheck.Test.make
+    ~name:"CSR leaf-free slices are the full slices minus degree-1 neighbors, in order"
+    ~count:100
+    QCheck.(triple seed_gen (int_range 1 30) (int_range 0 2))
+    (fun (seed, n, shape) ->
+      let rng = Hmn_rng.Rng.create (seed + 300) in
+      let g =
+        match shape with
+        | 0 -> Gen.random_connected ~n ~density:0.1 ~rng
+        | 1 -> Gen.random_tree ~n ~rng
+        | _ ->
+          (Gen.clos ~spines:(1 + (n mod 4)) ~leafs:(1 + (n mod 5))
+             ~hosts_per_leaf:(1 + (seed mod 6)))
+            .Gen.graph
+      in
+      let n = Graph.n_nodes g in
+      let csr = Csr.of_graph g in
+      let offsets = Csr.leaf_free_offsets csr
+      and neighbors = Csr.leaf_free_neighbors csr
+      and edge_ids = Csr.leaf_free_edge_ids csr in
+      Array.length offsets = n + 1
+      && offsets.(0) = 0
+      && Array.length neighbors = offsets.(n)
+      && Array.length edge_ids = offsets.(n)
+      && List.for_all
+           (fun u ->
+             let slice =
+               List.init
+                 (offsets.(u + 1) - offsets.(u))
+                 (fun i -> (neighbors.(offsets.(u) + i), edge_ids.(offsets.(u) + i)))
+             in
+             slice
+             = List.filter (fun (nb, _) -> Graph.degree g nb <> 1) (Graph.adj_list g u))
+           (List.init n Fun.id))
+
 let prop_csr_dijkstra_bit_identical =
   QCheck.Test.make
     ~name:"CSR Dijkstra is bit-identical to the adjacency Dijkstra" ~count:50
@@ -491,6 +529,7 @@ let () =
       ( "csr",
         [
           q prop_csr_matches_adjacency;
+          q prop_csr_leaf_free_slices;
           q prop_csr_dijkstra_bit_identical;
           q prop_fabric_invariants;
         ] );

@@ -695,6 +695,89 @@ let prop_arena_engine_bit_identical =
       done;
       !ok)
 
+(* The engine against [Reference_arena_astar], the arena search before
+   leaf arcs were skipped in bulk and before dominance was tested
+   ahead of path membership. Those two changes only move arcs between
+   cuts, so on fabrics full of leaf hosts every route must be the
+   oracle's route, node for node and edge for edge, at the same
+   expanded and generated counts, in both prune modes. Clos fabrics go
+   up to 40 hosts per leaf and 8 spines, the rack geometry of the
+   large benchmark fabric; fat-trees mix tier latencies. Found paths
+   are reserved, with demands large enough to drain links, so later
+   queries meet bandwidth cuts, and one context serves every query. *)
+let prop_arena_engine_matches_arena_oracle =
+  QCheck.Test.make
+    ~name:"engine routes like the retained arena engine on leafy fabrics, label for label"
+    ~count:60
+    QCheck.(pair (int_bound 9999) (int_range 0 2))
+    (fun (seed, shape) ->
+      let rng = Hmn_rng.Rng.create (seed + 13_000) in
+      let lat () = [| 1.25; 2.5; 5.; 10. |].(Hmn_rng.Rng.int rng ~bound:4) in
+      let cluster =
+        match shape with
+        | 0 ->
+          Hmn_testbed.Cluster_gen.fat_tree_cluster
+            ~link:(Link.make ~bandwidth_mbps:1000. ~latency_ms:(lat ()))
+            ~agg_link:(Link.make ~bandwidth_mbps:2000. ~latency_ms:(lat ()))
+            ~core_link:(Link.make ~bandwidth_mbps:4000. ~latency_ms:(lat ()))
+            ~k:(if Hmn_rng.Rng.bool rng then 4 else 6)
+            ~rng ()
+        | _ ->
+          let racks = 2 + Hmn_rng.Rng.int rng ~bound:5 in
+          let hosts_per_rack = 1 + Hmn_rng.Rng.int rng ~bound:40 in
+          let spines = 1 + Hmn_rng.Rng.int rng ~bound:8 in
+          let uplink =
+            if shape = 1 then Link.make ~bandwidth_mbps:1000. ~latency_ms:5.
+            else Link.make ~bandwidth_mbps:(1000. *. float spines) ~latency_ms:(lat ())
+          in
+          Hmn_testbed.Cluster_gen.clos_cluster
+            ~link:(Link.make ~bandwidth_mbps:1000. ~latency_ms:5.)
+            ~uplink ~racks ~hosts_per_rack ~spines ~rng ()
+      in
+      let n = Graph.n_nodes (Cluster.graph cluster) in
+      let residual = Residual.create cluster in
+      let tables = Latency_table.create cluster in
+      let ctx = Hmn_routing.Route_ctx.create () in
+      let ok = ref true in
+      for _ = 1 to 16 do
+        let src = Hmn_rng.Rng.int rng ~bound:n in
+        let dst = Hmn_rng.Rng.int rng ~bound:n in
+        let bandwidth_mbps = 20. +. (300. *. Hmn_rng.Rng.float rng) in
+        let prune_dominated = Hmn_rng.Rng.bool rng in
+        (* Without the Pareto cut the search may enumerate every simple
+           path within the bound, and an 8-spine fabric has millions:
+           unpruned queries get a bound at most 10 ms above the
+           shortest latency. *)
+        let latency_ms =
+          if prune_dominated then 4. +. (40. *. Hmn_rng.Rng.float rng)
+          else
+            Latency_table.get (Latency_table.to_destination tables ~dst) src
+            +. (10. *. Hmn_rng.Rng.float rng)
+        in
+        let oracle =
+          Reference_arena_astar.route ~prune_dominated ~residual
+            ~latency_tables:tables ~src ~dst ~bandwidth_mbps ~latency_ms ()
+        in
+        let engine =
+          Astar.route ~prune_dominated ~ctx ~residual ~latency_tables:tables ~src
+            ~dst ~bandwidth_mbps ~latency_ms ()
+        in
+        match (oracle, engine) with
+        | None, None -> ()
+        | Some (p0, s0), Some (p1, s1) ->
+          if
+            not
+              (p0.Path.nodes = p1.Path.nodes
+              && p0.Path.edges = p1.Path.edges
+              && s0.Reference_arena_astar.expanded = s1.Astar.expanded
+              && s0.Reference_arena_astar.generated = s1.Astar.generated)
+          then ok := false;
+          if not (Path.is_intra_host p1) then
+            ignore (Residual.reserve_path residual p1 bandwidth_mbps)
+        | _ -> ok := false
+      done;
+      !ok)
+
 (* One context for every query while the clusters it routes on grow and
    then shrink (size 2, 3, 4, 3, 2 of a random torus, Clos or tree
    shape, so node counts strictly rise and fall). Per-node Pareto
@@ -1070,6 +1153,7 @@ let () =
           q prop_dijkstra_route_is_minimal_latency;
           q prop_landmark_tables_equal_direct_dijkstra;
           q prop_arena_engine_bit_identical;
+          q prop_arena_engine_matches_arena_oracle;
           q prop_ctx_reuse_across_clusters;
         ] );
     ]
