@@ -98,15 +98,24 @@ let forced_feasible ~tab ~latencies ~avails ~bandwidth_mbps ~latency_ms
 
 (* ---- the arena search ---- *)
 
-let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
-    ~prune_dominated ~n ~src ~dst ~bandwidth_mbps ~latency_ms =
+let search ~ctx ~tab ~csr ~latencies ~avails ~prune_dominated ~n ~src ~dst
+    ~bandwidth_mbps ~latency_ms =
+  let offsets = Csr.offsets csr
+  and neighbors = Csr.neighbors csr
+  and edge_ids = Csr.edge_ids csr
+  and lf_offsets = Csr.leaf_free_offsets csr
+  and lf_neighbors = Csr.leaf_free_neighbors csr
+  and lf_edge_ids = Csr.leaf_free_edge_ids csr in
   (* Destructured once: the hot loop reads the shared base array and
-     scalar offset directly instead of paying a record access per
-     lookup. [ar x] stays the exact [Latency_table.get] semantics —
-     the [x = dst] case matters, labels ending at [dst] sit in the
-     heap and must project with zero latency-to-go. *)
+     scalar offset directly, and writes out [Latency_table.get]'s
+     semantics inline — the [x = dst] case matters, labels ending at
+     [dst] sit in the heap and must project with zero latency-to-go. *)
   let ar_base = tab.Latency_table.base and ar_offset = tab.Latency_table.offset in
-  let ar x = if x = dst then 0. else ar_base.(x) +. ar_offset in
+  (* The one node whose slice may hold [dst] as a leaf neighbor: the
+     switch a degree-1 [dst] hangs off ([-1] when [dst] is no leaf). *)
+  let dst_switch =
+    if offsets.(dst + 1) - offsets.(dst) = 1 then neighbors.(offsets.(dst)) else -1
+  in
   Route_ctx.reset_search ctx ~n_nodes:n;
   let generated = ref 0 and expanded = ref 0 in
   (* Search-effort tallies, kept in locals on the hot path and flushed
@@ -116,6 +125,7 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
   and pruned_latency = ref 0
   and pruned_dominated = ref 0
   and pruned_dead_end = ref 0
+  and arcs_scanned = ref 0
   and heap_max = ref 0 in
   let push id =
     incr generated;
@@ -123,10 +133,11 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     let len = ctx.Route_ctx.heap_size in
     if len > !heap_max then heap_max := len
   in
-  if ar src <= latency_ms then begin
+  let src_ar = ar_base.(src) +. ar_offset (* [src <> dst] here *) in
+  if src_ar <= latency_ms then begin
     let id =
       Route_ctx.add_label ctx ~parent:(-1) ~node:src ~via:(-1) ~hops:1
-        ~width:infinity ~lat:0. ~proj:(0. +. ar src)
+        ~width:infinity ~lat:0. ~proj:(0. +. src_ar)
     in
     (* Label recording must track the flag: the unpruned reference
        mode would otherwise start with a seeded Pareto table. *)
@@ -138,40 +149,69 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
        preserves adjacency insertion order), but three flat array
        reads per arc instead of a closure call plus a link-record
        fetch — this loop dominates Networking wall time at scale.
-       Membership is an O(hops) parent-chain walk instead of the
-       historical per-label bitset copy: paths on these fabrics are a
-       handful of hops, so the walk is cheaper than duplicating n/8
-       bytes per generated label. *)
+
+       Dead ends: a degree-1 neighbor other than [dst] has only the
+       arc back to [u], which is on the label's path, so its label
+       could never be expanded into a child nor be the goal. Every
+       node but [dst_switch] scans its leaf-free slice, which leaves
+       those arcs out without reading them (a Clos leaf switch's host
+       arcs); [dst_switch] scans its full slice and cuts them one by
+       one, since one of its leaves is [dst]. *)
     let u = ctx.Route_ctx.node.(p) in
     let p_lat = ctx.Route_ctx.lat.(p)
     and p_width = ctx.Route_ctx.width.(p)
     and p_hops = ctx.Route_ctx.hops.(p) in
-    for k = offsets.(u) to offsets.(u + 1) - 1 do
-      let neighbor = neighbors.(k) in
-      (* Dead end: a degree-1 neighbor's only arc leads back to [u],
-         which is on the label's path, so its label could never be
-         expanded into a child nor be the goal. Skipping it is one
-         offsets subtraction and saves a label per leaf host on
-         Clos and fat-tree fabrics. *)
-      if neighbor <> dst && offsets.(neighbor + 1) - offsets.(neighbor) = 1 then
-        incr pruned_dead_end
-      else if not (Route_ctx.on_path ctx p neighbor) then begin
-        let eid = edge_ids.(k) in
+    let full = u = dst_switch in
+    let nbrs = if full then neighbors else lf_neighbors
+    and eids = if full then edge_ids else lf_edge_ids
+    and k0 = if full then offsets.(u) else lf_offsets.(u)
+    and k1 = if full then offsets.(u + 1) else lf_offsets.(u + 1) in
+    arcs_scanned := !arcs_scanned + (k1 - k0);
+    pruned_dead_end :=
+      !pruned_dead_end + (offsets.(u + 1) - offsets.(u)) - (k1 - k0);
+    for k = k0 to k1 - 1 do
+      let neighbor = nbrs.(k) in
+      (* Membership: with the Pareto cut on, a neighbor already on the
+         label's path is always cut below, because its own ancestor
+         label (or one that dominates it) sits in its set with a width
+         no narrower and a latency no larger — widths only fall and
+         latencies only rise along a path. So only the unpruned mode
+         walks the O(hops) parent chain. *)
+      if full && neighbor <> dst && offsets.(neighbor + 1) - offsets.(neighbor) = 1
+      then incr pruned_dead_end
+      else if prune_dominated || not (Route_ctx.on_path ctx p neighbor) then begin
+        let eid = eids.(k) in
         let avail = avails.(eid) in
-        let acc_latency = p_lat +. latencies.(eid) in
         (* Prune: not enough residual bandwidth on this hop, or the
            latency budget cannot be met even via the cheapest
            completion. *)
         if avail < bandwidth_mbps then incr pruned_bandwidth
         else begin
-          let proj = acc_latency +. ar neighbor in
+          let acc_latency = p_lat +. latencies.(eid) in
+          let proj =
+            acc_latency +. if neighbor = dst then 0. else ar_base.(neighbor) +. ar_offset
+          in
           if proj > latency_ms then incr pruned_latency
           else begin
-            let width = Float.min p_width avail in
-            if
+            let width = if avail < p_width then avail else p_width in
+            (* Pareto dominance: an early-exit walk of [neighbor]'s
+               set, reading the arena in place. *)
+            let dominated =
               prune_dominated
-              && Route_ctx.pareto_dominated ctx neighbor ~width ~lat:acc_latency
-            then incr pruned_dominated
+              && ctx.Route_ctx.pstamp.(neighbor) = ctx.Route_ctx.search
+              &&
+              let i = ref ctx.Route_ctx.phead.(neighbor) in
+              while
+                !i >= 0
+                && not
+                     (ctx.Route_ctx.width.(!i) >= width
+                     && ctx.Route_ctx.lat.(!i) <= acc_latency)
+              do
+                i := ctx.Route_ctx.pnext.(!i)
+              done;
+              !i >= 0
+            in
+            if dominated then incr pruned_dominated
             else begin
               let id =
                 Route_ctx.add_label ctx ~parent:p ~node:neighbor ~via:eid
@@ -205,6 +245,7 @@ let search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
     Metrics.Counter.add (Metrics.counter "astar.pruned_latency") !pruned_latency;
     Metrics.Counter.add (Metrics.counter "astar.pruned_dominated") !pruned_dominated;
     Metrics.Counter.add (Metrics.counter "astar.pruned_dead_end") !pruned_dead_end;
+    Metrics.Counter.add (Metrics.counter "astar.arcs_scanned") !arcs_scanned;
     Metrics.Gauge.observe (Metrics.gauge "astar.heap_max") !heap_max;
     Metrics.Counter.incr
       (Metrics.counter
@@ -240,13 +281,13 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
       match ctx with Some c -> c | None -> Route_ctx.create ()
     in
     let csr = Cluster.csr cluster in
-    let offsets = Csr.offsets csr
-    and neighbors = Csr.neighbors csr
-    and edge_ids = Csr.edge_ids csr in
     let latencies = Cluster.link_latencies cluster in
     let avails = Residual.availabilities residual in
     let tab = Latency_table.to_destination latency_tables ~dst in
-    match forced_route ~offsets ~neighbors ~edge_ids ~n ~src ~dst with
+    match
+      forced_route ~offsets:(Csr.offsets csr) ~neighbors:(Csr.neighbors csr)
+        ~edge_ids:(Csr.edge_ids csr) ~n ~src ~dst
+    with
     | Some path ->
       ctx.Route_ctx.fast_path_hits <- ctx.Route_ctx.fast_path_hits + 1;
       if Metrics.enabled () then
@@ -255,8 +296,8 @@ let route ?(prune_dominated = true) ?ctx ~residual ~latency_tables ~src ~dst
       then Some (path, zero_stats)
       else None
     | None ->
-      search ~ctx ~tab ~offsets ~neighbors ~edge_ids ~latencies ~avails
-        ~prune_dominated ~n ~src ~dst ~bandwidth_mbps ~latency_ms
+      search ~ctx ~tab ~csr ~latencies ~avails ~prune_dominated ~n ~src ~dst
+        ~bandwidth_mbps ~latency_ms
   end
 
 let widest_feasible ?ctx ~residual ~latency_tables ~src ~dst ~bandwidth_mbps

@@ -32,7 +32,9 @@
     {b Dead ends.} The search never generates a label at a node other
     than [dst] whose degree is 1: its only arc returns to the parent,
     so such a label could have no children. Leaf hosts of Clos and
-    fat-tree fabrics are such nodes. *)
+    fat-tree fabrics are such nodes. Their arcs are not even read:
+    every node but [dst]'s attachment switch is expanded through the
+    CSR's leaf-free slice ({!Hmn_graph.Csr.leaf_free_offsets}). *)
 
 type stats = {
   expanded : int;  (** paths popped from the open set *)

@@ -148,14 +148,6 @@ let heap_pop t =
 
 (* ---- Pareto sets ---- *)
 
-let rec dominated_from t i ~width ~lat =
-  i >= 0
-  && ((t.width.(i) >= width && t.lat.(i) <= lat)
-     || dominated_from t t.pnext.(i) ~width ~lat)
-
-let pareto_dominated t v ~width ~lat =
-  t.pstamp.(v) = t.search && dominated_from t t.phead.(v) ~width ~lat
-
 let pareto_record t id =
   let v = t.node.(id) in
   if t.pstamp.(v) <> t.search then begin

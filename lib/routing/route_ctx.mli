@@ -76,7 +76,8 @@ val add_label :
 val on_path : t -> int -> int -> bool
 (** [on_path t label v]: does [v] occur on the path the label's parent
     chain spells? O(hops) — the replacement for the per-label member
-    bitset. *)
+    bitset. Only the search without the Pareto cut needs it: with the
+    cut, a label back onto its own path is always dominated. *)
 
 val heap_push : t -> int -> unit
 
@@ -85,11 +86,6 @@ val heap_pop : t -> int
     widest bottleneck first, then smallest projected total latency,
     then fewest hops — identical decisions to the historical record
     comparator. *)
-
-val pareto_dominated : t -> int -> width:float -> lat:float -> bool
-(** [pareto_dominated t v ~width ~lat]: does a label in [v]'s Pareto
-    set have width at least [width] and latency at most [lat]?
-    Early-exit walk of the set's list. *)
 
 val pareto_record : t -> int -> unit
 (** [pareto_record t id]: unlink from the Pareto set of label [id]'s

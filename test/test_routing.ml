@@ -856,35 +856,41 @@ let test_ctx_pareto_set () =
     let rec go i acc = if i < 0 then acc else go ctx.C.pnext.(i) (i :: acc) in
     List.sort Int.compare (go ctx.C.phead.(1) [])
   in
+  (* The search's dominance query: a label in [v]'s live set at least
+     as wide and no slower. *)
+  let dominated v ~width ~lat =
+    let rec go i =
+      i >= 0 && ((ctx.C.width.(i) >= width && ctx.C.lat.(i) <= lat) || go ctx.C.pnext.(i))
+    in
+    ctx.C.pstamp.(v) = ctx.C.search && go ctx.C.phead.(v)
+  in
   let a = record ~width:10. ~lat:5. in
   let b = record ~width:20. ~lat:9. in
   Alcotest.(check (list int)) "incomparable labels both kept" [ a; b ] (members ());
   Alcotest.(check bool) "dominated by a" true
-    (C.pareto_dominated ctx 1 ~width:10. ~lat:6.);
+    (dominated 1 ~width:10. ~lat:6.);
   Alcotest.(check bool) "dominated by b" true
-    (C.pareto_dominated ctx 1 ~width:15. ~lat:9.);
+    (dominated 1 ~width:15. ~lat:9.);
   Alcotest.(check bool) "not dominated" false
-    (C.pareto_dominated ctx 1 ~width:15. ~lat:6.);
+    (dominated 1 ~width:15. ~lat:6.);
   Alcotest.(check bool) "other node empty" false
-    (C.pareto_dominated ctx 0 ~width:0. ~lat:infinity);
+    (dominated 0 ~width:0. ~lat:infinity);
   let c = record ~width:20. ~lat:7. in
   Alcotest.(check (list int)) "c unlinks b only" [ a; c ] (members ());
   let d = record ~width:20. ~lat:5. in
   Alcotest.(check (list int)) "d unlinks the rest" [ d ] (members ());
   C.reset_search ctx ~n_nodes:2;
   Alcotest.(check bool) "reset empties the set" false
-    (C.pareto_dominated ctx 1 ~width:0. ~lat:infinity);
+    (dominated 1 ~width:0. ~lat:infinity);
   C.reset_search ctx ~n_nodes:5;
   Alcotest.(check bool) "grown node range starts empty" false
-    (C.pareto_dominated ctx 4 ~width:0. ~lat:infinity)
+    (dominated 4 ~width:0. ~lat:infinity)
 
-let test_ctx_dead_end_leaves () =
-  (* A small Clos: hosts 0, 1 on leaf 4 and hosts 2, 3 on leaf 5, both
-     leaves wired to spines 6 and 7, all links 1 ms. Every link is
-     1000 Mbps except the destination's downlink 5-2 (100 Mbps), so
-     every 1000-wide label outranks the goal and is expanded first.
-     The old engine then also labels the leaf hosts 1 and 3, which
-     have no children; the arena must not. *)
+(* A small Clos: hosts 0, 1 on leaf 4 and hosts 2, 3 on leaf 5, both
+   leaves wired to spines 6 and 7, all links 1 ms. Every link is 1000
+   Mbps except the destination's downlink 5-2 (100 Mbps), so every
+   1000-wide label outranks the goal and is expanded first. *)
+let small_clos_narrow_downlink () =
   let g = Graph.create ~n:8 () in
   let mk bw = Link.make ~bandwidth_mbps:bw ~latency_ms:1. in
   List.iter
@@ -895,7 +901,12 @@ let test_ctx_dead_end_leaves () =
     Array.init 8 (fun i ->
         if i < 4 then host i else Node.switch ~name:(Printf.sprintf "s%d" i))
   in
-  let cluster = Cluster.create ~nodes ~graph:g in
+  Cluster.create ~nodes ~graph:g
+
+let test_ctx_dead_end_leaves () =
+  (* The old engine also labels the leaf hosts 1 and 3, which have no
+     children; the arena must not. *)
+  let cluster = small_clos_narrow_downlink () in
   let residual = Residual.create cluster in
   let tables = Latency_table.create cluster in
   (* By hand, with the Pareto cut: labels at 0, leaf 4, spines 6 and
@@ -913,6 +924,44 @@ let test_ctx_dead_end_leaves () =
     Alcotest.(check int) "generated by hand" 6 s.Astar.generated;
     Alcotest.(check int) "old engine labels both leaves" 8 s0.Reference_astar.generated
   | _ -> Alcotest.fail "expected a route"
+
+let test_ctx_arc_tallies () =
+  (* The same route, counted by hand. Pops 0, 4, 6, 7, 5, 2. Leaf 4
+     and the spines scan their leaf-free slices (leaf 4 skips hosts 0
+     and 1 in bulk); leaf 5, the destination's switch, scans all four
+     arcs and cuts host 3 alone: 1 + 2 + 2 + 2 + 4 = 11 arcs, 3 dead
+     ends. Five arcs are dominated: 7 -> 5 ties the label via 6, and
+     6 -> 4, 7 -> 4, 5 -> 6 and 5 -> 7 lead back onto the path or to
+     a spine already reached sooner. Every scanned arc lands in one
+     tally: 5 labels beyond the origin + 5 dominated + 1 dead end. *)
+  let cluster = small_clos_narrow_downlink () in
+  let residual = Residual.create cluster in
+  let tables = Latency_table.create cluster in
+  let module Metrics = Hmn_obs.Metrics in
+  Metrics.enable ();
+  Metrics.reset ();
+  let routed =
+    Astar.route ~residual ~latency_tables:tables ~src:0 ~dst:2 ~bandwidth_mbps:10.
+      ~latency_ms:60. ()
+  in
+  let counters = (Metrics.snapshot ()).Metrics.counters in
+  Metrics.reset ();
+  Metrics.disable ();
+  Alcotest.(check bool) "routed" true (Option.is_some routed);
+  let count name =
+    Option.value ~default:0 (List.assoc_opt ("astar." ^ name) counters)
+  in
+  List.iter
+    (fun (name, expected) -> Alcotest.(check int) name expected (count name))
+    [
+      ("labels_expanded", 6);
+      ("labels_generated", 6);
+      ("arcs_scanned", 11);
+      ("pruned_dead_end", 3);
+      ("pruned_dominated", 5);
+      ("pruned_bandwidth", 0);
+      ("pruned_latency", 0);
+    ]
 
 let test_ctx_tree_fast_path () =
   (* A pure line 0-1-2-3: every route is forced, so the fast path must
@@ -1121,6 +1170,7 @@ let () =
             test_ctx_tree_fast_path;
           Alcotest.test_case "no labels at dead-end leaves" `Quick
             test_ctx_dead_end_leaves;
+          Alcotest.test_case "arc tallies by hand" `Quick test_ctx_arc_tallies;
           Alcotest.test_case "fast path rounds like the search" `Quick
             test_ctx_fast_path_rounds_like_search;
           Alcotest.test_case "fast path meets at hub" `Quick
