@@ -452,7 +452,7 @@ let fuzz_cmd =
 let experiments_cmd =
   let reps_t =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "reps" ] ~docv:"INT"
           ~doc:"Repetitions per scenario (default: $(b,HMN_REPS) or 5; paper: 30).")
   in
@@ -528,7 +528,9 @@ let experiments_cmd =
 
 let figure1_cmd =
   let reps_t =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"INT" ~doc:"Repetitions per point.")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "reps" ] ~docv:"INT" ~doc:"Repetitions per point.")
   in
   let run reps seed =
     let points = Hmn_experiments.Figure1.run ~reps ~seed () in
@@ -542,7 +544,9 @@ let figure1_cmd =
 
 let ablation_cmd =
   let reps_t =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"INT" ~doc:"Repetitions per point.")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "reps" ] ~docv:"INT" ~doc:"Repetitions per point.")
   in
   let which_t =
     Arg.(
