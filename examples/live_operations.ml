@@ -1,8 +1,8 @@
 (* Day-two operations on a deployed emulation: save the environment to
-   disk, reload it, rebalance the live mapping (guests migrate and
-   their virtual links re-route), and verify constraint validity at
-   every step — the "fully-automated emulator" workflow the paper's
-   project targets.
+   disk, reload it, move a guest off the busiest host by hand (its
+   virtual links re-route), let the rebalancer tidy up after the move,
+   and verify constraint validity at every step — the
+   "fully-automated emulator" workflow the paper's project targets.
 
    Run with: dune exec examples/live_operations.exe *)
 
@@ -51,11 +51,50 @@ let () =
   | Error e -> failwith e);
   Sys.remove path;
 
-  (* Rebalance the live mapping in place. *)
+  (* A tester moves one guest off the busiest occupied host (least
+     residual CPU) to the idlest host whose residual memory and storage fit it,
+     trying hosts in that order until its links re-route. *)
   let live = Hmn_online.Incremental.create mapping in
+  let placement = mapping.Hmn_mapping.Mapping.placement in
+  let hosts = Array.to_list (Cluster.host_ids cluster) in
+  let by_residual_cpu =
+    List.sort
+      (fun a b ->
+        Float.compare
+          (Hmn_mapping.Placement.residual_cpu placement ~host:a)
+          (Hmn_mapping.Placement.residual_cpu placement ~host:b))
+      hosts
+  in
+  let busiest =
+    List.find
+      (fun host -> Hmn_mapping.Placement.n_guests_on placement ~host > 0)
+      by_residual_cpu
+  in
+  let guest = List.hd (Hmn_mapping.Placement.guests_on placement ~host:busiest) in
+  let targets =
+    List.filter
+      (fun host -> Hmn_mapping.Placement.fits placement ~guest ~host)
+      (List.rev by_residual_cpu)
+  in
+  let before = Hmn_mapping.Mapping.objective mapping in
+  (match
+     List.find_opt
+       (fun host -> Result.is_ok (Hmn_online.Incremental.move_guest live ~guest ~host))
+       targets
+   with
+  | Some host ->
+    Format.printf "move guest %d: host %d -> host %d, LBF %.2f -> %.2f@." guest
+      busiest host before
+      (Hmn_mapping.Mapping.objective mapping)
+  | None ->
+    Format.printf "  [!!] no fitting host could take guest %d@." guest;
+    exit 1);
+  check mapping "after the move";
+
+  (* Rebalance the live mapping in place. *)
   let before = Hmn_mapping.Mapping.objective mapping in
   let moves = Hmn_online.Incremental.rebalance live in
-  Format.printf "rebalance: %d moves, LBF %.1f -> %.1f@." moves before
+  Format.printf "rebalance: %d moves, LBF %.2f -> %.2f@." moves before
     (Hmn_mapping.Mapping.objective mapping);
   check mapping "after rebalance";
 
