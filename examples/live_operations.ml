@@ -52,8 +52,9 @@ let () =
   Sys.remove path;
 
   (* A tester moves one guest off the busiest occupied host (least
-     residual CPU) to the idlest host whose residual memory and storage fit it,
-     trying hosts in that order until its links re-route. *)
+     residual CPU) to the idlest other host whose residual memory and
+     storage fit it, trying hosts in that order until its links
+     re-route. *)
   let live = Hmn_online.Incremental.create mapping in
   let placement = mapping.Hmn_mapping.Mapping.placement in
   let hosts = Array.to_list (Cluster.host_ids cluster) in
@@ -73,7 +74,7 @@ let () =
   let guest = List.hd (Hmn_mapping.Placement.guests_on placement ~host:busiest) in
   let targets =
     List.filter
-      (fun host -> Hmn_mapping.Placement.fits placement ~guest ~host)
+      (fun host -> host <> busiest && Hmn_mapping.Placement.fits placement ~guest ~host)
       (List.rev by_residual_cpu)
   in
   let before = Hmn_mapping.Mapping.objective mapping in
