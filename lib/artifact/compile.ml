@@ -412,54 +412,79 @@ let emit_net_json ~scope ~cluster ~venv ~guests_at ~launches ~classes =
 
 (* ---- manifest ---- *)
 
+(* Written member by member into one buffer: each small member printed
+   from its tree at depth 1, the embedded instance ([payload], a key and
+   the writer of its text at depth 1) straight from the values. The
+   bytes are those of the whole document printed as one tree. *)
 let manifest ~scope ~format ~vmm ~cluster ~venv ~launches ~classes ~payload ~files =
-  json_file
-    (Json.Obj
-       ([
-          ("format", Json.str "hmn-artifact-manifest");
-          ("schema_version", Json.int Spec.schema_version);
-          ("artifact_format", Json.str (Spec.format_name format));
-        ]
-       @ scope_fields scope
-       @ [
-           ( "vmm",
+  (* an embedded guest, node or link takes about 150-210 bytes: sized
+     so the buffer rarely regrows *)
+  let entries =
+    Venv.n_guests venv + Venv.n_vlinks venv
+    + (match scope with
+      | Full -> Cluster.n_nodes cluster + Hmn_graph.Graph.n_edges (Cluster.graph cluster)
+      | Tenant _ -> 0)
+  in
+  let b = Buffer.create (4096 + (200 * entries)) in
+  let first = ref true in
+  let key k =
+    Buffer.add_char b (if !first then '{' else ',');
+    first := false;
+    Json.add_indent b 1;
+    Json.add_key b k
+  in
+  let member (k, v) =
+    key k;
+    Json.to_buffer ~pretty:true ~level:1 b v
+  in
+  List.iter member
+    ([
+       ("format", Json.str "hmn-artifact-manifest");
+       ("schema_version", Json.int Spec.schema_version);
+       ("artifact_format", Json.str (Spec.format_name format));
+     ]
+    @ scope_fields scope
+    @ [
+        ( "vmm",
+          Json.Obj
+            [
+              ("label", Json.str (vmm_label vmm));
+              ("mips", Json.float vmm.Vmm.mips);
+              ("mem_mb", Json.float vmm.Vmm.mem_mb);
+              ("stor_gb", Json.float vmm.Vmm.stor_gb);
+            ] );
+        ( "counts",
+          Json.Obj
+            [
+              ("nodes", Json.int (Cluster.n_nodes cluster));
+              ("hosts", Json.int (Cluster.n_hosts cluster));
+              ("links", Json.int (Hmn_graph.Graph.n_edges (Cluster.graph cluster)));
+              ("guests", Json.int (Venv.n_guests venv));
+              ("vlinks", Json.int (Venv.n_vlinks venv));
+              ("launch_hosts", Json.int (List.length launches));
+              ("shaped_links", Json.int (Array.length classes.edges));
+              ("classes", Json.int (Array.length classes.vlinks));
+            ] );
+        (* the slack Artifact_check grants on per-link rate sums:
+           the ledger tolerance times (vlinks + 1), mirroring
+           Validator.residual_tolerance *)
+        ( "tolerance_mbps",
+          Json.float (Residual.tolerance *. float_of_int (Venv.n_vlinks venv + 1)) );
+      ]);
+  let payload_key, write_payload = payload in
+  key payload_key;
+  write_payload b;
+  member
+    ( "files",
+      Json.Arr
+        (List.map
+           (fun (name, content) ->
              Json.Obj
-               [
-                 ("label", Json.str (vmm_label vmm));
-                 ("mips", Json.float vmm.Vmm.mips);
-                 ("mem_mb", Json.float vmm.Vmm.mem_mb);
-                 ("stor_gb", Json.float vmm.Vmm.stor_gb);
-               ] );
-           ( "counts",
-             Json.Obj
-               [
-                 ("nodes", Json.int (Cluster.n_nodes cluster));
-                 ("hosts", Json.int (Cluster.n_hosts cluster));
-                 ("links", Json.int (Hmn_graph.Graph.n_edges (Cluster.graph cluster)));
-                 ("guests", Json.int (Venv.n_guests venv));
-                 ("vlinks", Json.int (Venv.n_vlinks venv));
-                 ("launch_hosts", Json.int (List.length launches));
-                 ("shaped_links", Json.int (Array.length classes.edges));
-                 ("classes", Json.int (Array.length classes.vlinks));
-               ] );
-           (* the slack Artifact_check grants on per-link rate sums:
-              the ledger tolerance times (vlinks + 1), mirroring
-              Validator.residual_tolerance *)
-           ( "tolerance_mbps",
-             Json.float (Residual.tolerance *. float_of_int (Venv.n_vlinks venv + 1))
-           );
-           payload;
-           ( "files",
-             Json.Arr
-               (List.map
-                  (fun (name, content) ->
-                    Json.Obj
-                      [
-                        ("name", Json.str name);
-                        ("bytes", Json.int (String.length content));
-                      ])
-                  files) );
-         ]))
+               [ ("name", Json.str name); ("bytes", Json.int (String.length content)) ])
+           files) );
+  Json.add_indent b 0;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
 
 (* ---- entry points ---- *)
 
@@ -497,7 +522,7 @@ let of_mapping ?vmm ~format (m : Mapping.t) =
     | None -> invalid_arg (Printf.sprintf "Compile: virtual link %d is unrouted" vl)
   in
   emit ?vmm ~format ~scope:Full ~cluster ~venv ~host_of ~path_of
-    ~payload:("problem", Hmn_io.Codec.problem_to_json problem)
+    ~payload:("problem", fun b -> Hmn_io.Codec.problem_to_text ~level:1 b problem)
     ()
 
 let of_tenant ?vmm ~format ~cluster ~venv ~id ~hosts ~paths () =
@@ -508,7 +533,7 @@ let of_tenant ?vmm ~format ~cluster ~venv ~id ~hosts ~paths () =
   emit ?vmm ~format ~scope:(Tenant id) ~cluster ~venv
     ~host_of:(fun g -> hosts.(g))
     ~path_of:(fun vl -> paths.(vl))
-    ~payload:("venv", Hmn_io.Codec.venv_to_json venv)
+    ~payload:("venv", fun b -> Hmn_io.Codec.venv_to_text ~level:1 b venv)
     ()
 
 let rec mkdir_p dir =

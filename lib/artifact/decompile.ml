@@ -33,6 +33,8 @@ type bridge = { bridge_name : string; ports : string list }
 
 type scope = Full | Tenant of int
 
+type embedded = { manifest : string; start : int; len : int }
+
 type t = {
   artifact_format : Spec.format;
   schema_version : int;
@@ -42,8 +44,8 @@ type t = {
   bridges : bridge list;
   links : shaped_link list;
   classes : classes;
-  problem : Json.t option;
-  venv : Json.t option;
+  problem : embedded option;
+  venv : embedded option;
   counts : (string * int) list;
   tolerance_mbps : float;
 }
@@ -672,9 +674,14 @@ let run ~files =
     in
     let in_manifest f = in_file Spec.manifest_file f in
     let manifest_text = file Spec.manifest_file in
-    let manifest, artifact_format, scope =
+    (* the embedded instance is checked by the parser but kept as text:
+       [embedded] holds its byte ranges, and [manifest] the rest *)
+    let manifest, embedded =
       in_manifest @@ fun () ->
-      let manifest = parse_doc manifest_text in
+      result_or_parse (Json.of_string_raw ~raw:[ "problem"; "venv" ] manifest_text)
+    in
+    let artifact_format, scope =
+      in_manifest @@ fun () ->
       (match j_str (j_member "format" manifest) with
       | "hmn-artifact-manifest" -> ()
       | other -> fail "unexpected format %S" other);
@@ -688,7 +695,7 @@ let run ~files =
         | "tenant" -> Tenant (j_int (j_member "tenant_id" manifest))
         | other -> fail "unknown scope %S" other
       in
-      (manifest, artifact_format, scope)
+      (artifact_format, scope)
     in
     let vms_text = file (Spec.vms_file artifact_format) in
     let net_text = file (Spec.net_file artifact_format) in
@@ -698,12 +705,17 @@ let run ~files =
       | Spec.Json -> (parse_vms_json vms_text, parse_net_json net_text)
     in
     in_manifest @@ fun () ->
-    let opt name =
-      match Json.member name manifest with Ok j -> Some j | Error _ -> None
+    let text name =
+      (* the first, as [Json.member] finds *)
+      List.find_map
+        (fun (k, start, stop) ->
+          if k = name then Some { manifest = manifest_text; start; len = stop - start }
+          else None)
+        embedded
     in
     let counts =
-      match opt "counts" with
-      | Some (Json.Obj fields) ->
+      match Json.member "counts" manifest with
+      | Ok (Json.Obj fields) ->
         List.map (fun (k, v) -> (k, j_int v)) fields
       | _ -> fail "missing counts"
     in
@@ -717,36 +729,9 @@ let run ~files =
         bridges;
         links;
         classes;
-        problem = opt "problem";
-        venv = opt "venv";
+        problem = text "problem";
+        venv = text "venv";
         counts;
         tolerance_mbps = j_float (j_member "tolerance_mbps" manifest);
       }
   with Parse msg -> Error ("decompile: " ^ msg)
-
-let read_dir ~dir =
-  try
-    let read name =
-      let path = Filename.concat dir name in
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let manifest = read Spec.manifest_file in
-    let fmt =
-      match Json.of_string manifest with
-      | Ok json ->
-        result_or_parse
-          (Spec.format_of_name (j_str (j_member "artifact_format" json)))
-      | Error e -> fail "%s: %s" Spec.manifest_file e
-    in
-    Ok
-      [
-        (Spec.manifest_file, manifest);
-        (Spec.vms_file fmt, read (Spec.vms_file fmt));
-        (Spec.net_file fmt, read (Spec.net_file fmt));
-      ]
-  with
-  | Parse msg -> Error ("decompile: " ^ msg)
-  | Sys_error msg -> Error ("decompile: " ^ msg)

@@ -119,158 +119,290 @@ let bundle_to_json m =
       ("mapping", mapping_to_json m);
     ]
 
-(* ---- decoding ---- *)
+(* ---- text encoding ----
+
+   The pretty text of the encoders above, written straight from the
+   values with the printer's own primitives: the bytes
+   [Json.to_buffer ~pretty:true ~level] prints for their trees, without
+   building them. Each writer takes [level], the depth of the value it
+   writes, and calls [flush buf] after each element of an array. *)
+
+(* [key] as a member of an object at depth [level]; the [first] member
+   opens the object. *)
+let key_text buf level ?(first = false) key =
+  Buffer.add_char buf (if first then '{' else ',');
+  Json.add_indent buf (level + 1);
+  Json.add_key buf key
+
+let close_text buf level c =
+  Json.add_indent buf level;
+  Buffer.add_char buf c
+
+let int_text buf i = Json.add_number buf (float_of_int i)
+
+(* An array at depth [level] of [n] elements, element [i] written by
+   [elt (level + 1) i]. *)
+let array_text ~flush buf level n elt =
+  if n = 0 then Buffer.add_string buf "[]"
+  else begin
+    Buffer.add_char buf '[';
+    for i = 0 to n - 1 do
+      if i > 0 then Buffer.add_char buf ',';
+      Json.add_indent buf (level + 1);
+      elt (level + 1) i;
+      flush buf
+    done;
+    close_text buf level ']'
+  end
+
+let resources_text buf level (r : Resources.t) =
+  key_text buf level ~first:true "mips";
+  Json.add_number buf r.Resources.mips;
+  key_text buf level "mem_mb";
+  Json.add_number buf r.Resources.mem_mb;
+  key_text buf level "stor_gb";
+  Json.add_number buf r.Resources.stor_gb;
+  close_text buf level '}'
+
+(* The edges of [g] in id order, each an object of its endpoints and
+   the bandwidth and latency [fields] gives. *)
+let edges_text ~flush buf level g fields =
+  array_text ~flush buf level (Graph.n_edges g) (fun level eid ->
+      let u, v = Graph.endpoints g eid in
+      let bandwidth_mbps, latency_ms = fields (Graph.label g eid) in
+      key_text buf level ~first:true "u";
+      int_text buf u;
+      key_text buf level "v";
+      int_text buf v;
+      key_text buf level "bandwidth_mbps";
+      Json.add_number buf bandwidth_mbps;
+      key_text buf level "latency_ms";
+      Json.add_number buf latency_ms;
+      close_text buf level '}')
+
+let cluster_text ~flush buf level cluster =
+  key_text buf level ~first:true "nodes";
+  array_text ~flush buf (level + 1) (Cluster.n_nodes cluster) (fun level i ->
+      let node = Cluster.node cluster i in
+      key_text buf level ~first:true "name";
+      Json.add_string buf node.Node.name;
+      key_text buf level "kind";
+      Json.add_string buf
+        (match node.Node.kind with Node.Host -> "host" | Node.Switch -> "switch");
+      key_text buf level "capacity";
+      resources_text buf (level + 1) node.Node.capacity;
+      (match node.Node.rack with
+      | None -> ()
+      | Some r ->
+        key_text buf level "rack";
+        int_text buf r);
+      close_text buf level '}');
+  key_text buf level "links";
+  edges_text ~flush buf (level + 1) (Cluster.graph cluster) (fun (l : Link.t) ->
+      (l.Link.bandwidth_mbps, l.Link.latency_ms));
+  close_text buf level '}'
+
+let venv_to_text ?(flush = ignore) ~level buf venv =
+  key_text buf level ~first:true "guests";
+  array_text ~flush buf (level + 1) (Venv.n_guests venv) (fun level i ->
+      let g = Venv.guest venv i in
+      key_text buf level ~first:true "name";
+      Json.add_string buf g.Guest.name;
+      key_text buf level "demand";
+      resources_text buf (level + 1) g.Guest.demand;
+      close_text buf level '}');
+  key_text buf level "vlinks";
+  edges_text ~flush buf (level + 1) (Venv.graph venv) (fun (l : Vlink.t) ->
+      (l.Vlink.bandwidth_mbps, l.Vlink.latency_ms));
+  close_text buf level '}'
+
+let problem_to_text ?(flush = ignore) ~level buf (problem : Problem.t) =
+  key_text buf level ~first:true "format";
+  Json.add_string buf "hmn-problem";
+  key_text buf level "version";
+  int_text buf 1;
+  key_text buf level "cluster";
+  cluster_text ~flush buf (level + 1) problem.Problem.cluster;
+  key_text buf level "venv";
+  venv_to_text ~flush ~level:(level + 1) buf problem.Problem.venv;
+  close_text buf level '}'
+
+(* ---- decoding ----
+
+   A decode error says where it happened: a path from the root of the
+   decoded document, such as [cluster.links[17]], and what went wrong.
+   Decoders here return it as a pair, and the public ones render it as
+   "path: message". *)
+
+type located = { path : string; msg : string }
+
+let fail msg = Error { path = ""; msg }
+
+(* A [Json] helper's error, located where it is read. *)
+let plain r = Result.map_error (fun msg -> { path = ""; msg }) r
+
+let render { path; msg } = if path = "" then msg else path ^ ": " ^ msg
+
+(* [r] with [seg], a member name or an index "[i]", in front of the
+   path of its error. *)
+let within seg r =
+  Result.map_error
+    (fun e ->
+      let path =
+        if e.path = "" then seg
+        else if e.path.[0] = '[' then seg ^ e.path
+        else seg ^ "." ^ e.path
+      in
+      { e with path })
+    r
+
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> fail msg
+
+(* The member [key] of [json], decoded by [f]. *)
+let field key f json =
+  match member key json with
+  | Error msg -> fail msg
+  | Ok v -> within key (f v)
+
+(* Every element of an array, decoded by [f index element]; the first
+   error stops the walk. *)
+let elements f xs =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match within (Printf.sprintf "[%d]" i) (f i x) with
+      | Ok y -> go (i + 1) (y :: acc) rest
+      | Error _ as e -> e)
+  in
+  go 0 [] xs
+
+let num key json = field key (fun v -> plain (to_float v)) json
+let int_of key json = field key (fun v -> plain (to_int v)) json
+let str_of key json = field key (fun v -> plain (to_str v)) json
+
+let list_of key f json =
+  field key
+    (fun v ->
+      let* xs = plain (to_list v) in
+      elements f xs)
+    json
 
 let resources_of_json json =
-  let* mips = Result.bind (member "mips" json) to_float in
-  let* mem_mb = Result.bind (member "mem_mb" json) to_float in
-  let* stor_gb = Result.bind (member "stor_gb" json) to_float in
-  match Resources.make ~mips ~mem_mb ~stor_gb with
-  | r -> Ok r
-  | exception Invalid_argument msg -> Error msg
+  let* mips = num "mips" json in
+  let* mem_mb = num "mem_mb" json in
+  let* stor_gb = num "stor_gb" json in
+  guard (fun () -> Resources.make ~mips ~mem_mb ~stor_gb)
 
 let node_of_json json =
-  let* name = Result.bind (member "name" json) to_str in
-  let* kind = Result.bind (member "kind" json) to_str in
+  let* name = str_of "name" json in
+  let* kind = str_of "kind" json in
   match kind with
   | "switch" -> Ok (Node.switch ~name)
-  | "host" ->
-    let* capacity = Result.bind (member "capacity" json) resources_of_json in
-    let* rack =
-      match member "rack" json with
-      | Error _ -> Ok None
-      | Ok j -> Result.map Option.some (to_int j)
-    in
+  | "host" -> (
+    let* capacity = field "capacity" resources_of_json json in
     let node = Node.host ~name ~capacity in
-    (match rack with
-    | None -> Ok node
-    | Some r -> (
-      match Node.with_rack node r with
-      | n -> Ok n
-      | exception Invalid_argument msg -> Error msg))
-  | other -> Error (Printf.sprintf "unknown node kind %S" other)
+    match member "rack" json with
+    | Error _ -> Ok node
+    | Ok j ->
+      within "rack"
+        (let* r = plain (to_int j) in
+         guard (fun () -> Node.with_rack node r)))
+  | other -> within "kind" (fail (Printf.sprintf "unknown node kind %S" other))
 
-let edge_endpoints json =
-  let* u = Result.bind (member "u" json) to_int in
-  let* v = Result.bind (member "v" json) to_int in
-  Ok (u, v)
+(* One edge entry, added to [graph] with the label [make] builds from
+   its bandwidth and latency. *)
+let edge_of_json graph make json =
+  let* u = int_of "u" json in
+  let* v = int_of "v" json in
+  let* bandwidth_mbps = num "bandwidth_mbps" json in
+  let* latency_ms = num "latency_ms" json in
+  guard (fun () -> ignore (Graph.add_edge graph u v (make ~bandwidth_mbps ~latency_ms)))
 
 let cluster_of_json json =
-  let* nodes_json = Result.bind (member "nodes" json) to_list in
-  let* nodes = map_result node_of_json nodes_json in
+  let* nodes = list_of "nodes" (fun _ -> node_of_json) json in
   let nodes = Array.of_list nodes in
-  let* links_json = Result.bind (member "links" json) to_list in
   let graph = Graph.create ~n:(Array.length nodes) () in
-  let* () =
-    List.fold_left
-      (fun acc link_json ->
-        let* () = acc in
-        let* u, v = edge_endpoints link_json in
-        let* bandwidth_mbps = Result.bind (member "bandwidth_mbps" link_json) to_float in
-        let* latency_ms = Result.bind (member "latency_ms" link_json) to_float in
-        match
-          Graph.add_edge graph u v (Link.make ~bandwidth_mbps ~latency_ms)
-        with
-        | _ -> Ok ()
-        | exception Invalid_argument msg -> Error msg)
-      (Ok ()) links_json
-  in
-  match Cluster.create ~nodes ~graph with
-  | c -> Ok c
-  | exception Invalid_argument msg -> Error msg
+  let* _ = list_of "links" (fun _ -> edge_of_json graph Link.make) json in
+  guard (fun () -> Cluster.create ~nodes ~graph)
 
-let venv_of_json json =
-  let* guests_json = Result.bind (member "guests" json) to_list in
+let venv_of_json_located json =
   let* guests =
-    map_result
-      (fun g ->
-        let* name = Result.bind (member "name" g) to_str in
-        let* demand = Result.bind (member "demand" g) resources_of_json in
+    list_of "guests"
+      (fun _ g ->
+        let* name = str_of "name" g in
+        let* demand = field "demand" resources_of_json g in
         Ok (Guest.make ~name ~demand))
-      guests_json
+      json
   in
   let guests = Array.of_list guests in
-  let* vlinks_json = Result.bind (member "vlinks" json) to_list in
   let graph = Graph.create ~n:(Array.length guests) () in
-  let* () =
-    List.fold_left
-      (fun acc l ->
-        let* () = acc in
-        let* u, v = edge_endpoints l in
-        let* bandwidth_mbps = Result.bind (member "bandwidth_mbps" l) to_float in
-        let* latency_ms = Result.bind (member "latency_ms" l) to_float in
-        match Graph.add_edge graph u v (Vlink.make ~bandwidth_mbps ~latency_ms) with
-        | _ -> Ok ()
-        | exception Invalid_argument msg -> Error msg)
-      (Ok ()) vlinks_json
-  in
-  match Venv.create ~guests ~graph with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error msg
+  let* _ = list_of "vlinks" (fun _ -> edge_of_json graph Vlink.make) json in
+  guard (fun () -> Venv.create ~guests ~graph)
 
 let check_format json expected =
   match Result.bind (member "format" json) to_str with
   | Ok actual when actual = expected -> Ok ()
-  | Ok actual -> Error (Printf.sprintf "expected format %S, found %S" expected actual)
-  | Error _ -> Error (Printf.sprintf "missing format marker (expected %S)" expected)
+  | Ok actual -> fail (Printf.sprintf "expected format %S, found %S" expected actual)
+  | Error _ -> fail (Printf.sprintf "missing format marker (expected %S)" expected)
 
-let problem_of_json json =
+let problem_of_json_located json =
   let* () = check_format json "hmn-problem" in
-  let* cluster = Result.bind (member "cluster" json) cluster_of_json in
-  let* venv = Result.bind (member "venv" json) venv_of_json in
-  match Problem.make ~cluster ~venv with
-  | p -> Ok p
-  | exception Invalid_argument msg -> Error msg
+  let* cluster = field "cluster" cluster_of_json json in
+  let* venv = field "venv" venv_of_json_located json in
+  guard (fun () -> Problem.make ~cluster ~venv)
 
-let mapping_of_json ~problem json =
+let mapping_of_json_located ~problem json =
   let* () = check_format json "hmn-mapping" in
-  let* placement_json = Result.bind (member "placement" json) to_list in
-  let* hosts = map_result to_int placement_json in
-  let venv = problem.Problem.venv in
-  if List.length hosts <> Venv.n_guests venv then
-    Error "placement length does not match the guest count"
+  let* hosts = list_of "placement" (fun _ h -> plain (to_int h)) json in
+  let n_guests = Venv.n_guests problem.Problem.venv in
+  if List.length hosts <> n_guests then
+    within "placement"
+      (fail (Printf.sprintf "%d entries for %d guests" (List.length hosts) n_guests))
   else begin
     let placement = Placement.create problem in
-    let* () =
-      List.fold_left
-        (fun acc (guest, host) ->
-          let* () = acc in
-          match Placement.assign placement ~guest ~host with
-          | Ok () -> Ok ()
-          | Error msg -> Error ("placement: " ^ msg)
-          | exception Invalid_argument msg -> Error msg)
-        (Ok ())
-        (List.mapi (fun g h -> (g, h)) hosts)
+    let* _ =
+      within "placement"
+        (elements
+           (fun guest host ->
+             match Placement.assign placement ~guest ~host with
+             | Ok () -> Ok ()
+             | Error msg -> fail msg
+             | exception Invalid_argument msg -> fail msg)
+           hosts)
     in
-    let* paths_json = Result.bind (member "paths" json) to_list in
     let link_map = Link_map.create problem in
-    let* () =
-      List.fold_left
-        (fun acc p ->
-          let* () = acc in
-          let* vlink = Result.bind (member "vlink" p) to_int in
-          let* nodes = Result.bind (Result.bind (member "nodes" p) to_list) (map_result to_int) in
-          let* edges = Result.bind (Result.bind (member "edges" p) to_list) (map_result to_int) in
-          let* path =
-            match Path.make ~nodes ~edges with
-            | path -> Ok path
-            | exception Invalid_argument msg -> Error msg
-          in
+    let ints key = list_of key (fun _ j -> plain (to_int j)) in
+    let* _ =
+      list_of "paths"
+        (fun _ p ->
+          let* vlink = int_of "vlink" p in
+          let* nodes = ints "nodes" p in
+          let* edges = ints "edges" p in
+          let* path = guard (fun () -> Path.make ~nodes ~edges) in
           match Link_map.assign link_map ~vlink path with
           | Ok () -> Ok ()
-          | Error msg -> Error ("link map: " ^ msg)
-          | exception Invalid_argument msg -> Error msg)
-        (Ok ()) paths_json
+          | Error msg -> fail msg
+          | exception Invalid_argument msg -> fail msg)
+        json
     in
-    match Mapping.make ~placement ~link_map with
-    | m -> Ok m
-    | exception Invalid_argument msg -> Error msg
+    guard (fun () -> Mapping.make ~placement ~link_map)
   end
 
-let bundle_of_json json =
+let bundle_of_json_located json =
   let* () = check_format json "hmn-bundle" in
-  let* problem = Result.bind (member "problem" json) problem_of_json in
-  Result.bind (member "mapping" json) (mapping_of_json ~problem)
+  let* problem = field "problem" problem_of_json_located json in
+  field "mapping" (mapping_of_json_located ~problem) json
+
+let venv_of_json json = Result.map_error render (venv_of_json_located json)
+let problem_of_json json = Result.map_error render (problem_of_json_located json)
+
+let mapping_of_json ~problem json =
+  Result.map_error render (mapping_of_json_located ~problem json)
+
+let bundle_of_json json = Result.map_error render (bundle_of_json_located json)
 
 (* ---- files ---- *)
 

@@ -24,9 +24,12 @@
       link's latency along its route equals the sum of its netem
       stages;
     - the manifest's embedded problem (or tenant virtual environment)
-      prints byte-identically to a fresh canonical serialization
-      (compared with [Hmn_prelude.Json.equal], without printing), and
-      its schema version is the grammar's.
+      prints byte-identically to a fresh canonical serialization, and
+      its schema version is the grammar's. The embedded bytes are
+      compared with the canonical text ([Hmn_io.Codec.problem_to_text]);
+      only when they differ are they parsed and compared as trees with
+      [Hmn_prelude.Json.equal], so a re-indented manifest still passes
+      and the verdict is the tree comparison's on every input.
 
     Numbers are compared {e exactly} where the emission grammar is
     lossless (it is — see [Hmn_prelude.Json.number_to_string]); only per-link rate {e sums}
@@ -88,12 +91,19 @@ type report = {
 
 val ok : report -> bool
 
+(** What a bundle's manifest must embed. *)
+type expected_manifest =
+  | Embeds_problem of Hmn_mapping.Problem.t
+      (** ["problem"], as [Hmn_io.Codec.problem_to_json] *)
+  | Embeds_venv of Hmn_vnet.Virtual_env.t
+      (** ["venv"], as [Hmn_io.Codec.venv_to_json] *)
+
 val check_view :
   cluster:Hmn_testbed.Cluster.t ->
   venv:Hmn_vnet.Virtual_env.t ->
   host_of:(int -> int) ->
   path_of:(int -> Hmn_routing.Path.t) ->
-  ?expect_manifest:Hmn_prelude.Json.t ->
+  ?expect_manifest:expected_manifest ->
   Hmn_artifact.Decompile.t ->
   report
 (** The core: compare a decompiled bundle against placement/routing
@@ -104,7 +114,7 @@ val check_view :
 
 val check : mapping:Hmn_mapping.Mapping.t -> Hmn_artifact.Decompile.t -> report
 (** Whole-mapping bundles: derives the view from the mapping and expects
-    the manifest to embed [Hmn_io.Codec.problem_to_json]. *)
+    the manifest to embed the mapping's problem ([Embeds_problem]). *)
 
 val check_tenant :
   cluster:Hmn_testbed.Cluster.t ->
@@ -114,7 +124,7 @@ val check_tenant :
   Hmn_artifact.Decompile.t ->
   report
 (** Per-tenant delta bundles (tenant-local ids); expects the manifest to
-    embed [Hmn_io.Codec.venv_to_json]. *)
+    embed the tenant's virtual environment ([Embeds_venv]). *)
 
 val violation_label : violation -> string
 (** Stable class key, e.g. ["rate-mismatch"] — what the corruption tests
