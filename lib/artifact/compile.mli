@@ -38,7 +38,8 @@ val bytes : bundle -> int
 val of_mapping :
   ?vmm:Hmn_testbed.Vmm.t -> format:Spec.format -> Hmn_mapping.Mapping.t -> bundle
 (** Compile a whole mapping. The manifest embeds the full problem
-    ([Hmn_io.Codec.problem_to_json]). [vmm] (default
+    ([Hmn_io.Codec.problem_to_json]'s text, written straight from the
+    problem by [Hmn_io.Codec.problem_to_text]). [vmm] (default
     {!Hmn_testbed.Vmm.xen_like}) is recorded per host and in the
     manifest — the cluster's capacities are already net of it.
     Raises [Invalid_argument] when a guest is unplaced or a virtual
@@ -57,7 +58,7 @@ val of_tenant :
 (** Compile one admitted tenant's artifact {e delta} against the shared
     cluster: only this tenant's launches and qdisc classes. The
     manifest embeds the tenant's virtual environment
-    ([Hmn_io.Codec.venv_to_json]) and its id; guest and vlink ids are
+    ([Hmn_io.Codec.venv_to_text]) and its id; guest and vlink ids are
     tenant-local. *)
 
 val write : dir:string -> bundle -> unit
