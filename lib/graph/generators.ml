@@ -67,16 +67,33 @@ let random_connected ~n ~density ~rng =
   require (n >= 1) "random_connected: n >= 1 required";
   require (density >= 0. && density <= 1.) "random_connected: density in [0,1] required";
   let g = Graph.create ~n () in
-  let seen = Hashtbl.create (4 * n) in
-  let key u v = if u < v then (u, v) else (v, u) in
+  let target = expected_edges ~n ~density in
+  (* The pairs drawn so far, keyed [min * n + max] in an open-addressed
+     table of at least twice [target] slots ([-1] marks a free slot):
+     at most [target] pairs are ever added. *)
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * target do
+    incr bits
+  done;
+  let slots = Array.make (1 lsl !bits) (-1) in
+  let mask = (1 lsl !bits) - 1 and shift = Sys.int_size - !bits in
   let add u v =
-    let k = key u v in
-    if u <> v && not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      ignore (Graph.add_edge g u v ());
-      true
+    if u = v then false
+    else begin
+      let key = if u < v then (u * n) + v else (v * n) + u in
+      let rec probe i =
+        let s = slots.(i) in
+        if s = key then false
+        else if s >= 0 then probe ((i + 1) land mask)
+        else begin
+          slots.(i) <- key;
+          ignore (Graph.add_edge g u v ());
+          true
+        end
+      in
+      (* multiplicative hashing: the key's top bits after one multiply *)
+      probe ((key * 0x2545F4914F6CDD1D) lsr shift)
     end
-    else false
   in
   (* Spanning tree over a shuffled order so the tree shape is not biased
      toward low node ids. *)
@@ -85,7 +102,6 @@ let random_connected ~n ~density ~rng =
   for i = 1 to n - 1 do
     ignore (add order.(i) order.(Rng.int rng ~bound:i))
   done;
-  let target = expected_edges ~n ~density in
   while Graph.n_edges g < target do
     ignore (add (Rng.int rng ~bound:n) (Rng.int rng ~bound:n))
   done;

@@ -9,7 +9,24 @@
     adjacency, as the paper's links are shared capacities whichever way
     traffic runs. Parallel edges are permitted; self-loops are rejected
     because neither the physical cluster nor the virtual environment of
-    the paper has them. *)
+    the paper has them.
+
+    {b Storage and adjacency order.} Edges live in flat arrays indexed
+    by edge id (the two endpoints and the label). The adjacency is one
+    compact-sparse-row structure over all nodes — offsets, neighbour
+    ids and edge ids — built from the edge arrays on the first
+    adjacency query ({!iter_adj}, {!fold_adj}, {!adj_list},
+    {!degree}, {!find_edge}, {!adjacency_arrays}). A node's arcs are
+    its incident edges in insertion (edge-id) order; every adjacency
+    query, and {!Csr} slices, use that order. An {!add_edge} after a
+    query drops the built adjacency, so the next query pays one
+    O(nodes + edges) rebuild: build a graph's edges first, query it
+    after.
+
+    A graph that is queried from several domains must have its
+    adjacency built first (any adjacency query does it), since the
+    build writes the graph. [Hmn_testbed.Cluster.create] and
+    [Hmn_vnet.Virtual_env.create] build it. *)
 
 type 'e t
 
@@ -48,4 +65,17 @@ val iter_edges : 'e t -> (eid:int -> u:int -> v:int -> 'e -> unit) -> unit
 val fold_edges : 'e t -> init:'a -> f:('a -> eid:int -> u:int -> v:int -> 'e -> 'a) -> 'a
 
 val map_labels : 'e t -> f:(eid:int -> 'e -> 'f) -> 'f t
-(** Structure-preserving relabelling (fresh graph, same node/edge ids). *)
+(** Structure-preserving relabelling (fresh graph, same node/edge ids).
+    [f] is applied in edge-id order. The copy gets its own endpoint and
+    label arrays and shares the source's adjacency, which is built
+    first if it was not; an {!add_edge} to either graph afterwards
+    leaves the other unchanged. *)
+
+val adjacency_arrays : 'e t -> int array * int array * int array
+(** [(offsets, neighbors, edge_ids)]: the built adjacency itself,
+    neither copied nor frozen. Node [u]'s arcs sit at indices
+    [offsets.(u) .. offsets.(u+1) - 1] of the other two arrays, in
+    {!iter_adj} order; [offsets] has [n_nodes + 1] entries. The arrays
+    stay valid, and unchanged, after a later {!add_edge} (which makes
+    new ones): callers must not mutate them. {!Csr.of_graph} wraps
+    them. *)

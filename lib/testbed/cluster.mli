@@ -6,9 +6,10 @@ type t
 
 val create : nodes:Node.t array -> graph:Link.t Hmn_graph.Graph.t -> t
 (** Raises [Invalid_argument] when the node array length differs from
-    the graph's node count. Eagerly builds
-    the CSR routing view and the flat per-edge latency/bandwidth
-    arrays — O(nodes + links), paid once per cluster. *)
+    the graph's node count. Eagerly builds the graph's adjacency (so
+    that domains may then read it), the CSR routing view over it and
+    the flat per-edge latency/bandwidth arrays — O(nodes + links), paid
+    once per cluster. *)
 
 val graph : t -> Link.t Hmn_graph.Graph.t
 val n_nodes : t -> int

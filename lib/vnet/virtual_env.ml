@@ -9,6 +9,8 @@ type t = {
 let create ~guests ~graph =
   if Array.length guests <> Graph.n_nodes graph then
     invalid_arg "Virtual_env.create: guest array / graph size mismatch";
+  (* Build the adjacency now: Hosting's worker domains read the graph. *)
+  ignore (Graph.adjacency_arrays graph);
   { guests; graph }
 
 let graph t = t.graph

@@ -6,7 +6,8 @@ type t
 val create : guests:Guest.t array -> graph:Vlink.t Hmn_graph.Graph.t -> t
 (** Raises [Invalid_argument] when the guest array length differs from
     the graph's node count. Virtual links are bidirectional demands in
-    the paper's model, as {!Hmn_graph.Graph} edges are undirected. *)
+    the paper's model, as {!Hmn_graph.Graph} edges are undirected.
+    Builds the graph's adjacency, so that domains may then read it. *)
 
 val graph : t -> Vlink.t Hmn_graph.Graph.t
 val n_guests : t -> int
