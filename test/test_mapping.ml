@@ -162,6 +162,26 @@ let test_placement_copy_independent () =
   Alcotest.(check int) "original unchanged" 1 (Placement.n_assigned p);
   Alcotest.(check int) "copy advanced" 2 (Placement.n_assigned c)
 
+(* A host's guest set is made on its first assignment, so a copy taken
+   while a host is empty must not share the set it gets later. *)
+let test_placement_copy_then_fill_empty_host () =
+  let problem, _, _, _ = fixture () in
+  let p = Placement.create problem in
+  ignore (Placement.assign p ~guest:0 ~host:0);
+  let c = Placement.copy p in
+  Alcotest.(check bool) "assign in copy" true
+    (Result.is_ok (Placement.assign c ~guest:1 ~host:2));
+  Alcotest.(check (list int)) "original's host 2 still empty" []
+    (Placement.guests_on p ~host:2);
+  Alcotest.(check int) "original's host 2 count" 0 (Placement.n_guests_on p ~host:2);
+  Alcotest.(check (list int)) "copy's host 2" [ 1 ] (Placement.guests_on c ~host:2);
+  Alcotest.(check bool) "assign in original" true
+    (Result.is_ok (Placement.assign p ~guest:2 ~host:1));
+  Alcotest.(check (list int)) "copy's host 1 still empty" []
+    (Placement.guests_on c ~host:1);
+  Alcotest.(check (list int)) "original's host 0" [ 0 ] (Placement.guests_on p ~host:0);
+  Alcotest.(check (list int)) "copy's host 0" [ 0 ] (Placement.guests_on c ~host:0)
+
 let test_placement_switch_rejected () =
   (* Switched topology: switches cannot receive guests. *)
   let hosts =
@@ -452,6 +472,8 @@ let () =
           Alcotest.test_case "migrate rollback" `Quick
             test_placement_migrate_unfit_restores;
           Alcotest.test_case "copy" `Quick test_placement_copy_independent;
+          Alcotest.test_case "copy, then fill an empty host" `Quick
+            test_placement_copy_then_fill_empty_host;
           Alcotest.test_case "switches rejected" `Quick test_placement_switch_rejected;
         ] );
       ( "objective",
