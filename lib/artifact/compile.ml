@@ -114,13 +114,6 @@ let bridge_ports ~cluster ~guests_at node =
 
 let add = Buffer.add_string
 let add_int b i = add b (string_of_int i)
-let add_num b x = add b (Json.number_to_string x)
-
-let add_sq b s =
-  Buffer.add_char b '\'';
-  add b s;
-  Buffer.add_char b '\''
-
 let add_header b ~file ~scope =
   add b "#!/bin/sh\n# hmn-artifact ";
   add b file;
@@ -130,47 +123,92 @@ let add_header b ~file ~scope =
   add b (scope_name scope);
   Buffer.add_char b '\n'
 
+(* vms.sh, and the shaping section that is the bulk of net.sh, are
+   written into one byte string sized from their parts. *)
+type out = { bytes : Bytes.t; mutable pos : int }
+
+let put o s =
+  Bytes.blit_string s 0 o.bytes o.pos (String.length s);
+  o.pos <- o.pos + String.length s
+
+(* Each launched guest's id and three numbers are formatted once, and
+   each host's comment line and bridge once; the launch line is
+     hmn_vm launch --guest G --name 'N' --host H --mem-mb M --stor-gb S
+       --cpu-mips C --iface <vif G> --bridge B\n *)
 let emit_vms_shell ~scope ~vmm ~cluster ~venv ~launches =
-  (* a launch line takes under 200 bytes: sized so it rarely regrows *)
-  let b = Buffer.create (4096 + (200 * Venv.n_guests venv)) in
+  let b = Buffer.create 128 in
   add_header b ~file:"vms" ~scope;
   let vmm = vmm_label vmm in
+  let vif = Spec.iface_affixes in
+  let n = Venv.n_guests venv in
+  let id_text = Array.make n "" and mem_text = Array.make n "" in
+  let stor_text = Array.make n "" and cpu_text = Array.make n "" in
+  let fixed =
+    String.length "hmn_vm launch --guest  --name '' --host  --mem-mb  --stor-gb "
+    + String.length " --cpu-mips  --iface  --bridge \n"
+    + String.length vif.Spec.prefix + String.length vif.Spec.suffix
+  in
+  let len = ref (Buffer.length b) in
+  let hosts =
+    List.map
+      (fun (host, guests) ->
+        let host_text = string_of_int host and bridge = bridge_of_node cluster host in
+        let line =
+          String.concat ""
+            [ "# host id="; host_text; " name='"; (Cluster.node cluster host).Node.name;
+              "' vmm="; vmm; " guests="; string_of_int (List.length guests); "\n" ]
+        in
+        let per_guest = fixed + String.length host_text + String.length bridge in
+        len := !len + String.length line;
+        List.iter
+          (fun g ->
+            let guest = Venv.guest venv g in
+            let d = guest.Guest.demand in
+            id_text.(g) <- string_of_int g;
+            mem_text.(g) <- Json.number_to_string d.Resources.mem_mb;
+            stor_text.(g) <- Json.number_to_string d.Resources.stor_gb;
+            cpu_text.(g) <- Json.number_to_string d.Resources.mips;
+            len :=
+              !len + per_guest
+              + (2 * String.length id_text.(g))
+              + String.length guest.Guest.name
+              + String.length mem_text.(g)
+              + String.length stor_text.(g)
+              + String.length cpu_text.(g))
+          guests;
+        (host_text, bridge, line, guests))
+      launches
+  in
+  let o = { bytes = Bytes.create !len; pos = Buffer.length b } in
+  Buffer.blit b 0 o.bytes 0 o.pos;
   List.iter
-    (fun (host, guests) ->
-      let bridge = bridge_of_node cluster host in
-      add b "# host id=";
-      add_int b host;
-      add b " name=";
-      add_sq b (Cluster.node cluster host).Node.name;
-      add b " vmm=";
-      add b vmm;
-      add b " guests=";
-      add_int b (List.length guests);
-      Buffer.add_char b '\n';
+    (fun (host_text, bridge, line, guests) ->
+      put o line;
       List.iter
         (fun g ->
-          let guest = Venv.guest venv g in
-          let d = guest.Guest.demand in
-          add b "hmn_vm launch --guest ";
-          add_int b g;
-          add b " --name ";
-          add_sq b guest.Guest.name;
-          add b " --host ";
-          add_int b host;
-          add b " --mem-mb ";
-          add_num b d.Resources.mem_mb;
-          add b " --stor-gb ";
-          add_num b d.Resources.stor_gb;
-          add b " --cpu-mips ";
-          add_num b d.Resources.mips;
-          add b " --iface ";
-          add b (Spec.iface g);
-          add b " --bridge ";
-          add b bridge;
-          Buffer.add_char b '\n')
+          put o "hmn_vm launch --guest ";
+          put o id_text.(g);
+          put o " --name '";
+          put o (Venv.guest venv g).Guest.name;
+          put o "' --host ";
+          put o host_text;
+          put o " --mem-mb ";
+          put o mem_text.(g);
+          put o " --stor-gb ";
+          put o stor_text.(g);
+          put o " --cpu-mips ";
+          put o cpu_text.(g);
+          put o " --iface ";
+          put o vif.Spec.prefix;
+          put o id_text.(g);
+          put o vif.Spec.suffix;
+          put o " --bridge ";
+          put o bridge;
+          put o "\n")
         guests)
-    launches;
-  Buffer.contents b
+    hosts;
+  assert (o.pos = Bytes.length o.bytes);
+  Bytes.unsafe_to_string o.bytes
 
 let add_port b br port =
   add b "ovs-vsctl add-port ";
@@ -178,14 +216,6 @@ let add_port b br port =
   Buffer.add_char b ' ';
   add b port;
   Buffer.add_char b '\n'
-
-(* The shaping section is the bulk of net.sh: it is written into one
-   byte string sized from its parts, after the short bridge section. *)
-type out = { bytes : Bytes.t; mutable pos : int }
-
-let put o s =
-  Bytes.blit_string s 0 o.bytes o.pos (String.length s);
-  o.pos <- o.pos + String.length s
 
 let emit_net_shell ~scope ~cluster ~venv ~guests_at ~launches ~classes =
   let g = Cluster.graph cluster in
